@@ -18,15 +18,16 @@ import json
 import math
 import os
 import platform
-import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+from hostspeed import NOMINAL_LOOPS_PER_S
 from spans import REPORTED_PRIMITIVES, SETUP, TRAIN
-from workloads import WORKLOADS
+from workloads import WORKLOADS, peak_rss_mb
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -65,23 +66,16 @@ def load_program() -> None:
 
 
 def git_commit() -> str:
-    """HEAD of the checkout, read from .git without running git."""
-    git = ROOT / ".git"
-    head = git / "HEAD"
-    if not head.is_file():
-        return "unknown (not a git checkout)"
-    ref = head.read_text().strip()
-    if not ref.startswith("ref: "):
-        return ref
-    name = ref[len("ref: "):]
-    if (git / name).is_file():
-        return (git / name).read_text().strip()
-    packed = git / "packed-refs"
-    if packed.is_file():
-        for line in packed.read_text().splitlines():
-            if line.endswith(" " + name):
-                return line.split()[0]
-    return "unknown"
+    """HEAD of the checkout, or "unknown" outside a git checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+            text=True, timeout=10,
+            # stop at the checkout: never report an enclosing repository
+            env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)})
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
 def environment() -> dict:
@@ -121,33 +115,44 @@ def tail(values):
 def op_timings(tracer, result):
     """(durations in s, nodes) of the measured operations of a phase."""
     spans = tracer.spans(result.op_span)
-    if tracer is result.untraced:
-        spans = spans[result.skip_ops:]
     return [d for d, _ in spans], sum(w for _, w in spans)
 
 
 def nodes_per_s(tracer, result) -> float:
+    """Nodes ÷ summed operation time, at nominal host speed."""
     durations, nodes = op_timings(tracer, result)
-    return nodes / sum(durations) if durations else 0.0
+    return nodes / sum(durations) / tracer.host.factor() if durations \
+        else 0.0
 
 
 def end_to_end(workload: str, result) -> list[tuple[str, float, str, str]]:
     """(name, value, unit, note) for every end-to-end metric, the gated
-    ones first under their generic names."""
+    ones first under their generic names.
+
+    The gated set-up time and throughput are scaled to nominal host speed
+    (see hostspeed.py); the lines after them are as measured.
+    """
     u = result.untraced
     durations, nodes = op_timings(u, result)
     setups = [d for d, _ in u.spans(SETUP)]
+    setup = statistics.median(setups) if setups else 0.0
+    speed = u.host.factor()
+    measured = nodes / sum(durations) if durations else 0.0
     rows = [
-        ("setup_s", statistics.median(setups) if setups else 0.0, "s",
-         f"median of {len(setups)} set-ups"),
-        ("nodes_per_s", nodes / sum(durations) if durations else 0.0,
-         "nodes/s", ""),
-        ("peak_rss_mb",
-         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB",
-         ""),
+        ("setup_s", setup * speed, "s",
+         f"median of {len(setups)} set-ups, at nominal host speed"),
+        ("nodes_per_s", measured / speed, "nodes/s",
+         "at nominal host speed"),
+        ("peak_rss_mb", peak_rss_mb(), "MB",
+         "" if result.setup_peak_mb is None else
+         f"{result.setup_peak_mb:.1f} MB after the first set-up"),
     ]
     rate, op = OP_NAMES[workload]
-    rows += [(rate, rows[1][1], "nodes/s", ""),
+    rows += [("host_speed", speed, "x",
+              f"calibration rate ÷ {NOMINAL_LOOPS_PER_S:.0f} loops/s, "
+              f"{len(u.host.loops)} samples"),
+             ("setup_s_measured", setup, "s", ""),
+             (rate, measured, "nodes/s", "as measured"),
              (f"{op}_p50",
               1000 * statistics.median(durations) if durations else 0.0,
               "ms", f"median of {len(durations)} operations")]
@@ -250,9 +255,6 @@ def per_layer(result) -> dict[str, tuple[float, str]]:
         m[f"metrics.{name}.s"] = (op_s(f"metrics.{name}"), "s")
     m["metrics.degenerate_flags"] = (count("metrics.degenerate_flags"),
                                      "count")
-    m["quality.c_f"] = (result.recorded.get("c_f", 0.0), "%")
-    m["quality.rel_recall"] = (result.recorded.get("rel_recall") or 0.0,
-                               "fraction")
     plain = nodes_per_s(result.untraced, result)
     traced = nodes_per_s(t, result)
     m["trace.untraced_nodes_per_s"] = (plain, "nodes/s")

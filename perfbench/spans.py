@@ -6,7 +6,8 @@ program changes.  With `full=False` it marks only what the end-to-end
 metrics need: `train.train`, its set-up, each optimizer step (entry to
 `train.forward_losses` through return from `Adam.step`) and each
 `train.evaluate` call.  With `full=True` it also wraps the public functions
-of every layer and counts work at the same boundaries.
+of every layer and counts work at the same boundaries.  Either way it
+samples the host's speed after garbage collections (see hostspeed.py).
 
 A span records its name, start, end, parent span and trace id.  Spans stay
 in memory (flat arrays) until the run ends.  Every step, set-up,
@@ -25,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from hostspeed import HostSpeed
+
 SETUP = "setup"
 STEP = "train.step"
 TRAIN = "train.train"
@@ -32,6 +35,12 @@ EVALUATE = "train.evaluate"
 COMMAND = "cli.eval"
 # spans that start a trace of their own
 ROOTS = frozenset((SETUP, STEP, TRAIN, EVALUATE, COMMAND))
+
+# the host's speed is sampled at the end of a garbage collection, at most
+# once per SAMPLE_EVERY seconds, for SAMPLE_LOOPS loops (about 2% of the
+# time); the sample's time is held out of every span open around it
+SAMPLE_EVERY = 0.02
+SAMPLE_LOOPS = 200
 
 # the primitives whose calls and self time are reported one by one
 REPORTED_PRIMITIVES = (
@@ -78,6 +87,11 @@ class Tracer:
         self.trace_root: list[str] = []  # trace id -> root span name
         self.stack: list[int] = []  # open span indexes
         self.counts: dict[str, float] = {}
+        self.host = HostSpeed()
+        self.held = 0.0  # calibration time so far
+        self._next_sample = 0.0
+        # per span: calibration time inside it (while open: self.held then)
+        self.pause = array("d")
         self.last: dict[str, object] = {}  # latest captured return values
         self.losses: list[float] = []  # total loss of every step, in order
 
@@ -98,6 +112,7 @@ class Tracer:
         self.parent.append(parent)
         self.trace.append(tid)
         self.work.append(work)
+        self.pause.append(self.held)
         self.end.append(0.0)
         self.stack.append(i)
         self.start.append(time.perf_counter())
@@ -109,11 +124,22 @@ class Tracer:
         while self.stack:
             j = self.stack.pop()
             self.end[j] = now
+            self.pause[j] = self.held - self.pause[j]
             if j == i:
                 return
 
+    def sample_host(self) -> None:
+        """Sample the host's speed if SAMPLE_EVERY s have passed."""
+        if time.perf_counter() >= self._next_sample:
+            self.held += self.host.sample(SAMPLE_LOOPS)
+            self._next_sample = time.perf_counter() + SAMPLE_EVERY
+
     def top(self) -> str | None:
         return self.names[self.name[self.stack[-1]]] if self.stack else None
+
+    def in_setup(self) -> bool:
+        setup = self._ids.get(SETUP)
+        return any(self.name[j] == setup for j in self.stack)
 
     def count(self, key: str, amount: float = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + amount
@@ -121,9 +147,10 @@ class Tracer:
     # -- reading spans back ------------------------------------------------
 
     def spans(self, name: str) -> list[tuple[float, int]]:
-        """(duration in s, work) of every closed span with this name."""
+        """(duration in s, work) of every closed span with this name;
+        host samples taken inside a span are not part of its duration."""
         nid = self._ids.get(name)
-        return [(self.end[i] - self.start[i], self.work[i])
+        return [(self.end[i] - self.start[i] - self.pause[i], self.work[i])
                 for i in range(len(self.name))
                 if self.name[i] == nid and self.end[i] > 0.0]
 
@@ -139,7 +166,8 @@ class Tracer:
         n = len(self.name)
         names = np.frombuffer(self.name, dtype=np.int32)
         parent = np.frombuffer(self.parent, dtype=np.int32)
-        dur = np.frombuffer(self.end) - np.frombuffer(self.start)
+        dur = np.frombuffer(self.end) - np.frombuffer(self.start) \
+            - np.frombuffer(self.pause)
         has_parent = parent >= 0
         covered = np.bincount(parent[has_parent], weights=dur[has_parent],
                               minlength=n)
@@ -166,6 +194,7 @@ class Tracer:
             name=np.frombuffer(self.name, dtype=np.int32),
             start=np.frombuffer(self.start),
             end=np.frombuffer(self.end),
+            pause=np.frombuffer(self.pause),
             parent=np.frombuffer(self.parent, dtype=np.int32),
             trace=np.frombuffer(self.trace, dtype=np.int32),
             work=np.frombuffer(self.work, dtype=np.int64),
@@ -202,6 +231,8 @@ class Probe:
     def __enter__(self):
         try:
             self._install()
+            # last, so that a sample is not billed to the gc pause
+            gc.callbacks.append(self._sample_host)
         except BaseException:
             self.close()
             raise
@@ -214,8 +245,9 @@ class Probe:
         for owner, attr, original in reversed(self._undo):
             setattr(owner, attr, original)
         self._undo.clear()
-        if self._on_gc in gc.callbacks:
-            gc.callbacks.remove(self._on_gc)
+        for callback in (self._on_gc, self._sample_host):
+            if callback in gc.callbacks:
+                gc.callbacks.remove(callback)
 
     # -- installation -------------------------------------------------------
 
@@ -402,10 +434,15 @@ class Probe:
 
         gc.callbacks.append(self._on_gc)
 
+    def _sample_host(self, phase, info):
+        if phase == "stop":
+            self.tracer.sample_host()
+
     def _on_gc(self, phase, info):
         if phase == "start":
             self._gc_start = time.perf_counter()
         elif self._gc_start is not None:
-            self.tracer.count("process.gc_pause_s",
-                              time.perf_counter() - self._gc_start)
+            if not self.tracer.in_setup():  # pauses per operation only
+                self.tracer.count("process.gc_pause_s",
+                                  time.perf_counter() - self._gc_start)
             self._gc_start = None

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import random
+import resource
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -26,8 +27,16 @@ EVAL_EVERY = 20
 # 400 clusters put about 1.8k question nodes in the train split
 EVAL_CLUSTERS = 400
 CORPUS_GRAPHS = 10_000
-SETUPS = 3  # set-ups per run; setup_s is their median
-EVAL_WARMUP = 1  # evaluate() calls run before timing starts
+# A round is one set-up and the operations that use it; rounds repeat until
+# the budget is spent, so set-ups are sampled across the whole run.
+MIN_ROUNDS = 3
+EVALS_PER_SETUP = 4  # evaluate() calls per eval_full round
+BUCKETS = ("n_pp", "n_pm", "n_mp", "n_mm")
+
+
+def peak_rss_mb() -> float:
+    """Peak resident memory of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 @dataclass
@@ -40,9 +49,9 @@ class Result:
     attempted: int = 0
     failed: int = 0
     problems: list = field(default_factory=list)
-    # deterministic outputs: "c_f" and, where the aligner runs, "rel_recall"
+    # train_*: the deterministic "c_f" and "rel_recall" of the first call
     recorded: dict = field(default_factory=dict)
-    skip_ops: int = 0  # warm-up operations left out of the timings
+    setup_peak_mb: float | None = None  # peak RSS after the first set-up
 
     def check(self, ok: bool, what: str) -> None:
         self.attempted += 1
@@ -73,10 +82,26 @@ def _repeat(result: Result, call, budget: float, min_calls: int) -> None:
             return
 
 
-def _phases(seconds: float, trace: bool):
-    """(untraced budget, traced budget): a traced run spends half its time
-    untraced so that tracing overhead is measured within one process."""
-    return (seconds / 2, seconds / 2) if trace else (seconds, 0.0)
+def _measure(result: Result, one_round, seconds: float, trace: bool) -> None:
+    """One untimed warm-up round, then rounds until `seconds` are spent.
+
+    The first round in a process runs cold (imports, first-touch memory,
+    caches) and would count against the untraced phase alone, so it runs on
+    a tracer that is thrown away; its output checks still count.  A traced
+    run spends half its budget untraced and half traced, in that order, so
+    that tracing overhead is measured within one warm process.
+    """
+    with Probe(Tracer(), full=False) as probe:
+        _repeat(result, lambda: one_round(probe.tracer), 0.0, min_calls=1)
+    budget = seconds / 2 if trace else seconds
+    with Probe(result.untraced, full=False):
+        _repeat(result, lambda: one_round(result.untraced), budget,
+                min_calls=MIN_ROUNDS)
+    if trace:
+        result.traced = Tracer()
+        with Probe(result.traced, full=True):
+            _repeat(result, lambda: one_round(result.traced), budget,
+                    min_calls=1)
 
 
 # -- train_full / train_agg ---------------------------------------------------
@@ -127,15 +152,7 @@ def run_train(row: str, seed: int, seconds: float, trace: bool,
                                "rel_recall": best["val_rel_recall"]}
         reports.append(text)
 
-    plain, traced = _phases(seconds, trace)
-    with Probe(result.untraced, full=False):
-        _repeat(result, lambda: one_call(result.untraced), plain,
-                min_calls=2 if trace else SETUPS)
-    if trace:
-        result.traced = Tracer()
-        with Probe(result.traced, full=True):
-            _repeat(result, lambda: one_call(result.traced), traced,
-                    min_calls=1)
+    _measure(result, one_call, seconds, trace)
     return result
 
 
@@ -144,27 +161,31 @@ def run_train(row: str, seed: int, seconds: float, trace: bool,
 
 def run_eval(seed: int, seconds: float, trace: bool, scratch: Path,
              clusters: int = EVAL_CLUSTERS) -> Result:
-    """Repeated `train.evaluate()` on one large split with full-row
-    parameters fresh from `train.init_params`."""
+    """Rounds of one set-up (a large split and full-row parameters fresh
+    from `train.init_params`) and repeated `train.evaluate()` calls on it.
+    Every set-up of a run builds the same inputs from the same seed."""
     from qdqa import synth, train as tr
 
     cfg = tr.RunConfig(synthetic=synth.SyntheticConfig(seed=seed,
                                                        clusters=clusters),
                        seed=seed)
-    result = Result(untraced=Tracer(), traced=None, op_span=EVALUATE,
-                    skip_ops=EVAL_WARMUP)
+    result = Result(untraced=Tracer(), traced=None, op_span=EVALUATE)
     state = {}
 
     def setup(tracer: Tracer) -> None:
+        state.pop("pack", None)  # so the old inputs do not add to the peak
+        state.pop("store", None)
         i = tracer.open(SETUP)
         ds = synth.generate_dataset(cfg.synthetic)
         pack = tr.pack_split(ds.train, cfg.synthetic.vocab_index)
         store = tr.init_params(cfg)
         tracer.close(i)
         state.update(pack=pack, store=store)
+        if result.setup_peak_mb is None:
+            result.setup_peak_mb = peak_rss_mb()
 
     def one_call(tracer: Tracer) -> None:
-        report, relevance = tr.evaluate(state["store"], cfg, state["pack"])
+        tr.evaluate(state["store"], cfg, state["pack"])
         result.check(True, "evaluate() call")
         predictions = tracer.last["train.predict_split"][0]
         if "predictions" in state:
@@ -172,23 +193,13 @@ def run_eval(seed: int, seconds: float, trace: bool, scratch: Path,
                          "repeated evaluate() calls predict differently")
         else:
             state["predictions"] = predictions
-            result.recorded = {"c_f": report.c_f,
-                               "rel_recall": relevance["recall"]}
 
-    plain, traced = _phases(seconds, trace)
-    with Probe(result.untraced, full=False):
-        for _ in range(SETUPS):
-            setup(result.untraced)
-        for _ in range(EVAL_WARMUP):
-            one_call(result.untraced)
-        _repeat(result, lambda: one_call(result.untraced), plain,
-                min_calls=3)
-    if trace:
-        result.traced = Tracer()
-        with Probe(result.traced, full=True):
-            setup(result.traced)
-            _repeat(result, lambda: one_call(result.traced), traced,
-                    min_calls=1)
+    def one_round(tracer: Tracer) -> None:
+        setup(tracer)
+        for _ in range(EVALS_PER_SETUP):
+            one_call(tracer)
+
+    _measure(result, one_round, seconds, trace)
     return result
 
 
@@ -215,21 +226,19 @@ def _wrong(kind: str, answer: str, rng: random.Random) -> str:
 
 
 def make_corpus(seed: int, n_graphs: int):
-    """Graphs/gold/pred JSONL text plus the four bucket counts, counted
-    here from the generator's own knowledge of which answers are right.
+    """Yield (graph document, gold rows, pred rows, bucket counts) per
+    graph; the counts come from the generator's own knowledge of which
+    answers are right.
 
     Trees of 2 to 30 nodes and depth 1 to 4; every graph has its own
     accuracy so all four buckets fill.  Node ids are unique corpus-wide.
     """
     rng = random.Random(seed)
-    graphs, gold, pred = [], [], []
-    buckets = {"n_pp": 0, "n_pm": 0, "n_mp": 0, "n_mm": 0}
-    n_nodes = 0
     for g in range(n_graphs):
         size = rng.randint(2, 30)
         max_depth = rng.randint(1, 4)
         accuracy = rng.uniform(0.3, 0.95)
-        nodes, edges, right, children = [], [], [], []
+        nodes, edges, gold, pred, right, children = [], [], [], [], [], []
         frontier = []
 
         def add_node(depth: int) -> int:
@@ -263,6 +272,7 @@ def make_corpus(seed: int, n_graphs: int):
                 edges.append({"parent": nodes[parent]["id"],
                               "child": nodes[child]["id"],
                               "op": rng.choice(EDGE_TYPES)})
+        buckets = dict.fromkeys(BUCKETS, 0)
         for k, kids in enumerate(children):
             if not kids:
                 continue
@@ -273,20 +283,41 @@ def make_corpus(seed: int, n_graphs: int):
                 buckets["n_pp" if kids_ok else "n_mp"] += 1
             else:
                 buckets["n_pm" if kids_ok else "n_mm"] += 1
-        n_nodes += len(nodes)
-        graphs.append({"graph_id": f"g{g}", "video_id": f"v{g}",
-                       "edge_types": list(EDGE_TYPES), "nodes": nodes,
-                       "edges": edges})
+        yield ({"graph_id": f"g{g}", "video_id": f"v{g}",
+                "edge_types": list(EDGE_TYPES), "nodes": nodes,
+                "edges": edges}, gold, pred, buckets)
 
-    def jsonl(rows):
-        return "".join(json.dumps(r) + "\n" for r in rows)
 
-    return jsonl(graphs), jsonl(gold), jsonl(pred), buckets, n_nodes
+def write_corpus(seed: int, n_graphs: int, files: dict) -> tuple[dict, int]:
+    """Write the corpus to files["graphs"], ["gold"] and ["pred"] one graph
+    at a time; return the four bucket counts and the number of nodes.
+
+    Graphs go through the program's own `qdg.from_dict` and
+    `qdg.serialize`, as a tool that emits QDG-JSON would.  Streaming keeps
+    the generator's memory small, so the run's peak is the command's.
+    """
+    from qdqa import qdg
+
+    buckets = dict.fromkeys(BUCKETS, 0)
+    n_nodes = 0
+    with open(files["graphs"], "w") as graphs, \
+            open(files["gold"], "w") as gold, \
+            open(files["pred"], "w") as pred:
+        for doc, gold_rows, pred_rows, counted in make_corpus(seed,
+                                                              n_graphs):
+            graphs.write(qdg.serialize(qdg.from_dict(doc)) + "\n")
+            gold.writelines(json.dumps(r) + "\n" for r in gold_rows)
+            pred.writelines(json.dumps(r) + "\n" for r in pred_rows)
+            for k, v in counted.items():
+                buckets[k] += v
+            n_nodes += len(doc["nodes"])
+    return buckets, n_nodes
 
 
 def run_score(seed: int, seconds: float, trace: bool, scratch: Path,
               n_graphs: int = CORPUS_GRAPHS) -> Result:
-    """Repeated in-process `qdqa eval` commands over a generated corpus."""
+    """Rounds of writing the generated corpus (the set-up) and one
+    in-process `qdqa eval` command over it."""
     from qdqa import cli, metrics
 
     result = Result(untraced=Tracer(), traced=None, op_span=COMMAND)
@@ -297,11 +328,11 @@ def run_score(seed: int, seconds: float, trace: bool, scratch: Path,
 
     def setup(tracer: Tracer) -> None:
         i = tracer.open(SETUP)
-        g, gold, pred, buckets, n_nodes = make_corpus(seed, n_graphs)
-        for name, text in zip(files, (g, gold, pred)):
-            files[name].write_text(text)
+        buckets, n_nodes = write_corpus(seed, n_graphs, files)
         tracer.close(i)
         state.update(buckets=buckets, n_nodes=n_nodes)
+        if result.setup_peak_mb is None:
+            result.setup_peak_mb = peak_rss_mb()
 
     argv = ["eval", "--graphs", str(files["graphs"]), "--gold",
             str(files["gold"]), "--pred", str(files["pred"]),
@@ -324,27 +355,18 @@ def run_score(seed: int, seconds: float, trace: bool, scratch: Path,
             return
         counts = tracer.last["metrics.tally_counts"]
         result.check(
-            {k: getattr(counts, k) for k in state["buckets"]}
-            == state["buckets"],
+            {k: getattr(counts, k) for k in BUCKETS} == state["buckets"],
             "tally_counts disagrees with the brute-force recount",
         )
         text = out.read_text()
         result.check(metrics.emit_report(metrics.parse_report(text)) == text,
                      "emit_report output does not round-trip")
-        if not result.recorded:
-            result.recorded = {"c_f": json.loads(text)["c_f"]}
 
-    plain, traced = _phases(seconds, trace)
-    with Probe(result.untraced, full=False):
-        for _ in range(SETUPS):
-            setup(result.untraced)
-        _repeat(result, lambda: one_call(result.untraced), plain,
-                min_calls=3)
-    if trace:
-        result.traced = Tracer()
-        with Probe(result.traced, full=True):
-            _repeat(result, lambda: one_call(result.traced), traced,
-                    min_calls=1)
+    def one_round(tracer: Tracer) -> None:
+        setup(tracer)
+        one_call(tracer)
+
+    _measure(result, one_round, seconds, trace)
     return result
 
 
