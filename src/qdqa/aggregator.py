@@ -92,14 +92,6 @@ def predict_answers(order: list[str], layer_outputs: list[Tensor],
     return logits, dist_map
 
 
-def node_head_features(order: list[str], layer_outputs: list[Tensor],
-                       store: ParamStore) -> dict:
-    """The pre-softmax projected features f^a used for edge vectors."""
-    stacked = ad.concat(layer_outputs, axis=-1)
-    head = ad.add(ad.matmul(stacked, store["ag.head.w"]), store["ag.head.b"])
-    return {nid: ad.getitem(head, i) for i, nid in enumerate(order)}
-
-
 def edge_representations(graphs_and_features, store: ParamStore):
     """Edge vectors W_e [f^a_parent || f^a_child] + b_e over a batch.
 

@@ -486,6 +486,14 @@ class ParamStore:
         for t in self.params.values():
             t.grad = None
 
+    def frozen(self) -> "ParamStore":
+        """View on the same arrays whose tensors do not require grad, so a
+        forward pass over it records no tape and frees each intermediate
+        as soon as its consumer returns."""
+        view = ParamStore(self.seed)
+        view.params = {n: Tensor(t.data) for n, t in self.params.items()}
+        return view
+
     # Checkpoints: flat little-endian f64 blob + JSON manifest.
 
     def save(self, path):

@@ -24,7 +24,9 @@ def _fail(error: Exception, **extra):
 
 @click.group()
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker thread budget; 1 keeps runs bit-reproducible.")
+              help="Worker thread budget; accepted but not yet applied. "
+                   "BLAS threads follow OPENBLAS_NUM_THREADS / "
+                   "OMP_NUM_THREADS.")
 @click.pass_context
 def main(ctx, threads):
     """Decomposition-graph VidQA toolkit."""

@@ -256,11 +256,18 @@ def parse_report(text: str) -> MetricsReport:
 
 
 def load_predictions_jsonl(text: str) -> dict:
-    """Predictions JSONL: one {"id": ..., "answer": ...} object per line."""
+    """Predictions JSONL: one {"id": ..., "answer": ...} object per line,
+    both strings; any other line raises ValueError naming its number."""
     out = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line:
             obj = json.loads(line)
+            if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+                    and isinstance(obj.get("answer"), str)):
+                raise ValueError(
+                    f"line {number}: expected an object with string "
+                    f"\"id\" and \"answer\""
+                )
             out[obj["id"]] = obj["answer"]
     return out

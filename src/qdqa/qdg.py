@@ -99,6 +99,12 @@ def _build(graph_id, video_id, nodes, edges, edge_types) -> QDG:
             raise QdgError(f"bad kind {n.kind!r} on node {n.id}", graph_id)
         if n.role not in VALID_ROLES:
             raise QdgError(f"bad role {n.role!r} on node {n.id}", graph_id)
+        if n.gold_answer is not None and not isinstance(n.gold_answer, str):
+            raise QdgError(
+                f"answer {n.gold_answer!r} on node {n.id} is neither a "
+                f"string nor null",
+                graph_id,
+            )
         if n.kind == "binary" and n.gold_answer is not None:
             if n.gold_answer.strip().casefold() not in ("yes", "no"):
                 raise QdgError(

@@ -353,8 +353,10 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
     """Deterministic (zero-noise) predictions over a whole split.
 
     Returns (predictions: node id -> answer token, relevance stats dict).
+    Runs on a frozen view of the store, so no autodiff tape is recorded.
     """
     _check_dims(store, config)
+    store = store.frozen()
     vocab = config.synthetic.vocab
     f_q = Tensor(pack.f_q)
     relevance = {}
@@ -412,11 +414,6 @@ def evaluate(store: ParamStore, config: RunConfig, pack: PackedSplit,
     relevance stats)."""
     predictions, relevance = predict_split(store, config, pack)
     return metrics.full_report(pack.graphs, predictions, beta), relevance
-
-
-def evaluate_predictions(graphs, predictions, beta: float = 1.0):
-    """Report for externally supplied predictions (oracle injection)."""
-    return metrics.full_report(graphs, predictions, beta)
 
 
 def _epoch_row(step, loss_avgs, report, relevance):

@@ -106,6 +106,46 @@ def test_eval_missing_prediction_exits_1(tmp_path):
     assert json.loads(result.stderr)["error"] == "MissingPredictionError"
 
 
+def eval_error(tmp_path, pred_text):
+    gpath, gold, pred = write_row1_fixture(tmp_path)
+    pred.write_text(pred_text(pred.read_text()))
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(gpath), "--gold", str(gold),
+        "--pred", str(pred), "--out", str(tmp_path / "r.json"),
+    ])
+    assert result.exit_code == 1
+    return json.loads(result.stderr)
+
+
+def test_eval_non_string_answer_exits_1(tmp_path):
+    def first_answer_int(text):
+        first, rest = text.split("\n", 1)
+        return json.dumps({"id": json.loads(first)["id"], "answer": 1}) \
+            + "\n" + rest
+
+    payload = eval_error(tmp_path, first_answer_int)
+    assert payload["error"] == "ValueError"
+    assert "line 1" in payload["message"]
+
+
+def test_eval_non_object_prediction_line_exits_1(tmp_path):
+    payload = eval_error(tmp_path, lambda text: text + "[1, 2]\n")
+    assert payload["error"] == "ValueError"
+
+
+def test_validate_non_string_answer_exits_1(tmp_path):
+    doc = json.loads(cyclic_jsonl())
+    doc["edges"] = doc["edges"][:2]
+    doc["nodes"][1]["answer"] = 1
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    result = RUNNER.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "QdgError"
+    assert payload["graph_id"] == "gcyc"
+
+
 def tiny_run_config(tmp_path, **kw):
     from qdqa.synth import SyntheticConfig
     from qdqa.train import RunConfig
