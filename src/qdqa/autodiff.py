@@ -4,6 +4,13 @@ Small tape-based engine: each op records its parents and a backward closure.
 Shapes follow numpy broadcasting; gradients of broadcast operands are summed
 back to the operand's shape.  Everything runs at double precision so central
 finite differences are a meaningful oracle.
+
+Invariant: `Tensor.backward` visits the tape in reverse DFS post-order from
+the loss and adds each incoming gradient to a node's running sum in that
+order (`acc + pg`, never in place).  Float addition is not associative, so
+any other order changes gradient bits, and through training the bytes of
+every report; a backward closure may return None for a parent that neither
+requires grad nor has parents, because the walk would discard it anyway.
 """
 
 from __future__ import annotations
@@ -71,22 +78,25 @@ class Tensor:
             grad = np.ones_like(self.data)
         topo = []
         seen = set()
+        mark = seen.add
         stack = [(self, False)]
+        push, pop = stack.append, stack.pop
         while stack:
-            node, processed = stack.pop()
+            node, processed = pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
+            mark(node)
+            push((node, True))
             for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        grads = {id(self): np.asarray(grad, dtype=np.float64)}
+                if p not in seen:
+                    push((p, False))
+        grads = {self: np.asarray(grad, dtype=np.float64)}
+        take, get = grads.pop, grads.get
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
+            g = take(node, None)
             if g is None:
                 continue
             if node.requires_grad:
@@ -95,11 +105,8 @@ class Tensor:
                 for parent, pg in zip(node._parents, node._backward(g)):
                     if pg is None:
                         continue
-                    key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
+                    acc = get(parent)
+                    grads[parent] = pg if acc is None else acc + pg
 
     # -- operators --------------------------------------------------------
 
@@ -146,6 +153,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether the backward walk keeps a gradient for `t`: constant leaves
+    (no grad, no parents) get None from the closures instead."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
     needs = any(
@@ -164,24 +177,23 @@ def _make(data, parents, backward) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
-    return _make(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+
+    def backward(g):
+        return (_unbroadcast(g, a.shape) if _needs_grad(a) else None,
+                _unbroadcast(g, b.shape) if _needs_grad(b) else None)
+
+    return _make(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
-    return _make(
-        data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
-        ),
-    )
+
+    def backward(g):
+        return (_unbroadcast(g * b.data, a.shape) if _needs_grad(a) else None,
+                _unbroadcast(g * a.data, b.shape) if _needs_grad(b) else None)
+
+    return _make(data, (a, b), backward)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -202,21 +214,32 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         ad, bd = a.data, b.data
+        ga = gb = None
         if ad.ndim == 1 and bd.ndim == 1:
-            return (g * bd, g * ad)
-        if ad.ndim == 1:
+            if _needs_grad(a):
+                ga = g * bd
+            if _needs_grad(b):
+                gb = g * ad
+        elif ad.ndim == 1:
             # (k,) @ (..., k, n) -> (..., n)
-            ga = (g[..., None, :] * bd).sum(axis=-1)
-            ga = _unbroadcast(ga, ad.shape)
-            gb = _unbroadcast(ad[..., :, None] * g[..., None, :], bd.shape)
-            return (ga, gb)
-        if bd.ndim == 1:
+            if _needs_grad(a):
+                ga = _unbroadcast((g[..., None, :] * bd).sum(axis=-1),
+                                  ad.shape)
+            if _needs_grad(b):
+                gb = _unbroadcast(ad[..., :, None] * g[..., None, :],
+                                  bd.shape)
+        elif bd.ndim == 1:
             # (..., m, k) @ (k,) -> (..., m)
-            ga = _unbroadcast(g[..., :, None] * bd, ad.shape)
-            gb = _unbroadcast((g[..., :, None] * ad).sum(axis=-2), bd.shape)
-            return (ga, gb)
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+            if _needs_grad(a):
+                ga = _unbroadcast(g[..., :, None] * bd, ad.shape)
+            if _needs_grad(b):
+                gb = _unbroadcast((g[..., :, None] * ad).sum(axis=-2),
+                                  bd.shape)
+        else:
+            if _needs_grad(a):
+                ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+            if _needs_grad(b):
+                gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
         return (ga, gb)
 
     return _make(data, (a, b), backward)
@@ -234,13 +257,24 @@ def swapaxes(a, ax1, ax2) -> Tensor:
     return _make(data, (a,), lambda g: (np.swapaxes(g, ax1, ax2),))
 
 
+def _is_basic(k) -> bool:
+    return (isinstance(k, (int, np.integer, slice))
+            and not isinstance(k, bool))
+
+
 def getitem(a, idx) -> Tensor:
     a = _as_tensor(a)
     data = a.data[idx]
 
     def backward(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
+        if _is_basic(idx) or (isinstance(idx, tuple)
+                              and all(map(_is_basic, idx))):
+            # a basic index selects each element at most once, so adding
+            # into the view equals np.add.at bit for bit
+            out[idx] += g
+        else:
+            np.add.at(out, idx, g)
         return (out,)
 
     return _make(data, (a,), backward)
@@ -249,11 +283,14 @@ def getitem(a, idx) -> Tensor:
 def concat(tensors, axis=-1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    lead = (slice(None),) * (axis % data.ndim)
+    cuts, end = [], 0
+    for t in tensors:
+        start, end = end, end + t.data.shape[axis]
+        cuts.append(lead + (slice(start, end),))
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(g[cut] for cut in cuts)
 
     return _make(data, tuple(tensors), backward)
 
@@ -261,10 +298,10 @@ def concat(tensors, axis=-1) -> Tensor:
 def stack(tensors, axis=0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
 
     def backward(g):
-        parts = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in parts)
+        return tuple(g[lead + (i,)] for i in range(len(tensors)))
 
     return _make(data, tuple(tensors), backward)
 

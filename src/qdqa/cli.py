@@ -56,6 +56,21 @@ def _apply_gold(graph, gold_map):
     return qdg.from_dict(doc)
 
 
+def _check_ids_unique(graph_list):
+    """Metrics key answers by node id, so two graphs sharing an id would
+    share one prediction and one gold answer."""
+    owner = {}
+    for g in graph_list:
+        for node in g.nodes:
+            first = owner.setdefault(node.id, g)
+            if first is not g:
+                raise QdgError(
+                    f"node id {node.id!r} appears in graphs "
+                    f"{first.graph_id!r} and {g.graph_id!r}",
+                    g.graph_id,
+                )
+
+
 @main.command("eval")
 @click.option("--graphs", required=True,
               type=click.Path(exists=True, dir_okay=False))
@@ -69,6 +84,7 @@ def eval_cmd(graphs, gold, pred, beta, out):
     """Consistency metrics for predictions against gold answers."""
     try:
         graph_list = qdg.load_jsonl(Path(graphs).read_text())
+        _check_ids_unique(graph_list)
         gold_map = metrics.load_predictions_jsonl(Path(gold).read_text())
         predictions = metrics.load_predictions_jsonl(Path(pred).read_text())
         graph_list = [_apply_gold(g, gold_map) for g in graph_list]

@@ -257,8 +257,10 @@ def parse_report(text: str) -> MetricsReport:
 
 def load_predictions_jsonl(text: str) -> dict:
     """Predictions JSONL: one {"id": ..., "answer": ...} object per line,
-    both strings; any other line raises ValueError naming its number."""
+    both strings, each id once; any other line raises ValueError naming its
+    number (both numbers for a repeated id)."""
     out = {}
+    line_of = {}
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line:
@@ -268,6 +270,11 @@ def load_predictions_jsonl(text: str) -> dict:
                 raise ValueError(
                     f"line {number}: expected an object with string "
                     f"\"id\" and \"answer\""
+                )
+            first = line_of.setdefault(obj["id"], number)
+            if first != number:
+                raise ValueError(
+                    f"line {number}: id {obj['id']!r} repeats line {first}"
                 )
             out[obj["id"]] = obj["answer"]
     return out

@@ -88,11 +88,14 @@ class QuestionCluster:
 
 
 def _build(graph_id, video_id, nodes, edges, edge_types) -> QDG:
-    """Validate and assemble a graph from already-typed parts."""
-    ids = [n.id for n in nodes]
-    if len(ids) != len(set(ids)):
-        raise QdgError("duplicate node ids", graph_id)
+    """Validate and assemble a graph from parsed parts."""
+    # kind and role are checked against their few allowed strings below
     for n in nodes:
+        if not (isinstance(n.id, str) and isinstance(n.text, str)):
+            raise QdgError(
+                f"node id {n.id!r} and text {n.text!r} must be strings",
+                graph_id,
+            )
         if not n.id:
             raise QdgError("empty node id", graph_id)
         if n.kind not in VALID_KINDS:
@@ -112,10 +115,20 @@ def _build(graph_id, video_id, nodes, edges, edge_types) -> QDG:
                     f"{n.gold_answer!r}",
                     graph_id,
                 )
+    ids = [n.id for n in nodes]
     id_set = set(ids)
+    if len(ids) != len(id_set):
+        raise QdgError("duplicate node ids", graph_id)
     registry = set(edge_types)
     seen_edges = set()
     for e in edges:
+        if not (isinstance(e.parent, str) and isinstance(e.child, str)
+                and isinstance(e.op, str)):
+            raise QdgError(
+                f"edge parent {e.parent!r}, child {e.child!r} and op "
+                f"{e.op!r} must be strings",
+                graph_id,
+            )
         if e.parent == e.child:
             raise QdgError(f"self-loop on {e.parent}", graph_id)
         if e.parent not in id_set or e.child not in id_set:
@@ -191,6 +204,8 @@ def parse_and_validate(document: str) -> QDG:
 
 
 def from_dict(raw: dict) -> QDG:
+    if not isinstance(raw, dict):
+        raise QdgError(f"document is a {type(raw).__name__}, not an object")
     graph_id = raw.get("graph_id", "")
     try:
         nodes = [
@@ -209,12 +224,17 @@ def from_dict(raw: dict) -> QDG:
         ]
     except (KeyError, TypeError) as exc:
         raise QdgError(f"malformed document: {exc}", graph_id) from exc
+    edge_types = raw.get("edge_types", [])
+    if not (isinstance(edge_types, list)
+            and all(isinstance(t, str) for t in edge_types)):
+        raise QdgError(f"edge_types {edge_types!r} is not a list of strings",
+                       graph_id)
     return _build(
         graph_id=graph_id,
         video_id=raw.get("video_id", ""),
         nodes=nodes,
         edges=edges,
-        edge_types=list(raw.get("edge_types", [])),
+        edge_types=edge_types,
     )
 
 

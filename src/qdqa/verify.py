@@ -49,6 +49,34 @@ def check_transformer(seed: int) -> float:
     return ad.grad_check(fn, [q, kv] + params)
 
 
+def check_plumbing(seed: int) -> float:
+    """The backward shortcuts: getitem on basic and fancy (repeated)
+    indices, stack and concat at a non-zero and a negative axis, and add,
+    mul and matmul with one constant operand."""
+    rng = np.random.default_rng([seed, 9])
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c = Tensor(rng.normal(size=(4, 4)))  # constant: never an input
+    rows = np.array([0, 2, 2])
+    weights = [Tensor(rng.normal(size=shape)) for shape in
+               ((4, 3), (3, 4, 2), (3, 8), (3, 8), (2, 2))]
+
+    def fn(inputs):
+        x, y = inputs
+        pieces = [
+            ad.stack([x[1], x[-1], ad.getitem(y, (0, slice(None)))], axis=1),
+            ad.stack([x[rows], ad.getitem(y, slice(0, 3))], axis=-1),
+            ad.concat([x, ad.mul(y, c[0])], axis=1),
+            ad.concat([ad.add(c[1:], x), ad.matmul(y, c)], axis=-1),
+            ad.matmul(c[:2, :3], ad.getitem(y, (slice(None), slice(1, 3)))),
+        ]
+        return ad.reduce_sum(ad.stack(
+            [ad.reduce_sum(ad.mul(p, w)) for p, w in zip(pieces, weights)]
+        ))
+
+    return ad.grad_check(fn, [a, b])
+
+
 def check_hierarchy(seed: int) -> float:
     """Object and frame aggregation stages end to end."""
     rng = np.random.default_rng([seed, 2])
@@ -223,7 +251,8 @@ def check_total_losses(seed: int) -> float:
 
 
 SUITES = {
-    "autodiff": (("transformer", check_transformer),),
+    "autodiff": (("transformer", check_transformer),
+                 ("plumbing", check_plumbing)),
     "aligner": (("hierarchy", check_hierarchy),
                 ("contrastive", check_contrastive)),
     "aggregator": (("gat_head", check_gat_head),

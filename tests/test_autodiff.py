@@ -141,6 +141,124 @@ class TestCrossEntropy:
         assert batch == pytest.approx(loop, abs=1e-12)
 
 
+def reference_backward(loss):
+    """The walk `Tensor.backward` used when it keyed on id(): DFS
+    post-order from the loss, gradients summed in reverse of it."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+        if node._backward is not None:
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None:
+                    continue
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
+
+
+class TestBackwardPlumbing:
+    def test_walk_matches_reference_on_shared_nodes(self):
+        grads = []
+        for walk in (Tensor.backward, reference_backward):
+            rng = np.random.default_rng(3)
+            x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+            w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+            h = ad.relu(x @ w)
+            y = ad.stack([h[0], h[1] * h[0], (h @ w)[2], h[0]], axis=0)
+            walk(ad.reduce_sum(ad.concat([y, h], axis=0) * 0.3))
+            grads.append((x.grad.tobytes(), w.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("idx", [
+        2, -1, np.int64(1), slice(1, 3), (1, slice(0, 2)),
+        (slice(None), -2), np.array([0, 2, 2, 3]),
+        (np.array([1, 1]), np.array([0, 0])),
+    ], ids=["int", "neg_int", "np_int", "slice", "int_slice", "slice_neg",
+            "fancy_repeats", "fancy_pairs"])
+    def test_getitem_backward_matches_add_at(self, idx):
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        out = ad.getitem(a, idx)
+        g = rng.normal(size=out.shape)
+        g.flat[0] = -0.0
+        (got,) = out._backward(g)
+        expect = np.zeros_like(a.data)
+        np.add.at(expect, idx, g)
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_stack_backward_matches_split(self, axis):
+        rng = np.random.default_rng(2)
+        parts = [Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+                 for _ in range(3)]
+        out = ad.stack(parts, axis=axis)
+        g = rng.normal(size=out.shape)
+        got = out._backward(g)
+        expect = [np.squeeze(p, axis=axis)
+                  for p in np.split(g, len(parts), axis=axis)]
+        assert len(got) == len(expect)
+        for a, b in zip(got, expect):
+            assert a.shape == b.shape and a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_concat_backward_matches_split(self, axis):
+        rng = np.random.default_rng(3)
+        shapes = [[2, 3], [2, 3], [2, 3]]
+        for shape, size in zip(shapes, (1, 4, 2)):
+            shape[axis] = size
+        parts = [Tensor(rng.normal(size=s), requires_grad=True)
+                 for s in shapes]
+        out = ad.concat(parts, axis=axis)
+        g = rng.normal(size=out.shape)
+        got = out._backward(g)
+        sizes = [p.shape[axis] for p in parts]
+        expect = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
+        for a, b in zip(got, expect):
+            assert a.shape == b.shape and a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("op", [ad.add, ad.mul, ad.matmul])
+    @pytest.mark.parametrize("const_first", [False, True])
+    def test_constant_operand_gets_no_gradient(self, op, const_first):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        c = rng.normal(size=(3, 3))
+        g = rng.normal(size=(3, 3))
+        k = 0 if const_first else 1  # position of the constant operand
+
+        def closure_grads(c_tensor):
+            pair = [c_tensor, x] if const_first else [x, c_tensor]
+            return op(*pair)._backward(g)
+
+        skipped = closure_grads(Tensor(c))
+        both = closure_grads(Tensor(c, requires_grad=True))
+        assert skipped[k] is None and both[k] is not None
+        assert skipped[1 - k].tobytes() == both[1 - k].tobytes()
+
+    def test_intermediate_operand_keeps_its_gradient(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        mid = ad.mul(x, 2.0)  # no grad flag, but has parents
+        out = ad.mul(mid, Tensor(np.ones(3)))
+        assert out._backward(np.ones(3))[0] is not None
+
+
 class TestGumbelSoftmax:
     def test_zero_noise_symmetry(self):
         out = ad.gumbel_softmax(Tensor(np.zeros((1, 2))), temperature=1.0,

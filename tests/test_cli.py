@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from qdqa import qdg
@@ -144,6 +145,84 @@ def test_validate_non_string_answer_exits_1(tmp_path):
     payload = json.loads(result.stderr)
     assert payload["error"] == "QdgError"
     assert payload["graph_id"] == "gcyc"
+
+
+def validate_error(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    result = RUNNER.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "QdgError"
+    return payload
+
+
+def acyclic_doc():
+    doc = json.loads(cyclic_jsonl())
+    doc["edges"] = doc["edges"][:2]
+    return doc
+
+
+def test_validate_non_object_line_exits_1(tmp_path):
+    payload = validate_error(tmp_path, "[1, 2]")
+    assert "not an object" in payload["message"]
+
+
+def test_validate_list_edge_parent_exits_1(tmp_path):
+    doc = acyclic_doc()
+    doc["edges"][0]["parent"] = ["a"]
+    payload = validate_error(tmp_path, json.dumps(doc))
+    assert "parent ['a']" in payload["message"]
+    assert payload["graph_id"] == "gcyc"
+
+
+def test_validate_non_string_node_fields_exits_1(tmp_path):
+    doc = acyclic_doc()
+    doc["nodes"][1].update(id=7, text=3)
+    payload = validate_error(tmp_path, json.dumps(doc))
+    assert "id 7" in payload["message"] and "text 3" in payload["message"]
+    assert payload["graph_id"] == "gcyc"
+
+
+@pytest.mark.parametrize("edge_types", [[["Conjunction"]], 5])
+def test_validate_bad_edge_types_exits_1(tmp_path, edge_types):
+    doc = acyclic_doc()
+    doc["edge_types"] = edge_types
+    payload = validate_error(tmp_path, json.dumps(doc))
+    assert "edge_types" in payload["message"]
+
+
+@pytest.mark.parametrize("which", ["gold", "pred"])
+def test_eval_repeated_answer_id_exits_1(tmp_path, which):
+    files = dict(zip(("graphs", "gold", "pred"), write_row1_fixture(tmp_path)))
+    text = files[which].read_text()
+    files[which].write_text(text + text.split("\n", 1)[0] + "\n")
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(files["graphs"]), "--gold",
+        str(files["gold"]), "--pred", str(files["pred"]),
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "ValueError"
+    n = len(text.splitlines()) + 1
+    assert f"line {n}" in payload["message"]
+    assert "repeats line 1" in payload["message"]
+
+
+def test_eval_node_id_in_two_graphs_exits_1(tmp_path):
+    gpath, gold, pred = write_row1_fixture(tmp_path)
+    first = json.loads(gpath.read_text().split("\n", 1)[0])
+    first["graph_id"] = "copy"
+    gpath.write_text(gpath.read_text() + json.dumps(first) + "\n")
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(gpath), "--gold", str(gold),
+        "--pred", str(pred), "--out", str(tmp_path / "r.json"),
+    ])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "QdgError"
+    assert "'copy'" in payload["message"]
 
 
 def tiny_run_config(tmp_path, **kw):

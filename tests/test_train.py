@@ -20,6 +20,7 @@ from qdqa.train import (
     predict_split,
     train,
 )
+from test_autodiff import reference_backward
 
 
 def tiny_config(**kw):
@@ -219,6 +220,21 @@ def test_evaluate_leaves_gradients_unchanged():
         assert t.grad is before[name]
         if t.grad is not None:
             assert np.array_equal(t.grad, copies[name])
+
+
+@pytest.mark.parametrize("row", ["full", "aggregator_triplet"])
+@pytest.mark.parametrize("batch", [[0, 1], [0, 0, 1]])
+def test_backward_matches_reference_walk_bitwise(row, batch):
+    cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
+    train_pack, _, _ = packs_for(cfg)
+    grads = []
+    for walk in (Tensor.backward, reference_backward):
+        store = init_params(cfg)
+        _, total, _ = forward_losses(train_pack, batch, store, cfg,
+                                     np.random.default_rng(0))
+        walk(total)
+        grads.append({n: t.grad.tobytes() for n, t in store.params.items()})
+    assert grads[0] == grads[1]
 
 
 @pytest.mark.xfail(strict=True, reason=(
