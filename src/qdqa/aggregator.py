@@ -47,14 +47,13 @@ def gat_layer(feats: Tensor, mask: np.ndarray, store: ParamStore,
     ws, wsb = store[f"{prefix}.ws.w"], store[f"{prefix}.ws.b"]
     # [f_i || f_j] @ Ws splits into row blocks of Ws
     left = ad.matmul(feats, ad.getitem(ws, slice(0, h)))
-    right = ad.add(ad.matmul(feats, ad.getitem(ws, slice(h, 2 * h))), wsb)
+    right = ad.linear(feats, ad.getitem(ws, slice(h, 2 * h)), wsb)
     pair = ad.add(ad.reshape(left, (n, 1, h)), ad.reshape(right, (1, n, h)))
     scores = ad.matmul(ad.leaky_relu(pair), store[f"{prefix}.a"])  # [n, n]
     masked = ad.add(scores, MASK_OFF * (1.0 - mask))
     alpha = ad.softmax(masked, axis=-1)
     alpha = ad.mul(alpha, mask)  # zero the masked tail exactly
-    transformed = ad.add(ad.matmul(feats, store[f"{prefix}.wg.w"]),
-                         store[f"{prefix}.wg.b"])
+    transformed = ad.linear(feats, *store.layer(f"{prefix}.wg"))
     return ad.relu(ad.matmul(alpha, transformed)), alpha
 
 
@@ -85,7 +84,7 @@ def predict_answers(order: list[str], layer_outputs: list[Tensor],
     """Concat per-layer features into the head; returns (logits, dists) as
     maps node id -> Tensor.  Logits are also the edge-feature inputs."""
     stacked = ad.concat(layer_outputs, axis=-1)  # [n, K*h]
-    head = ad.add(ad.matmul(stacked, store["ag.head.w"]), store["ag.head.b"])
+    head = ad.linear(stacked, *store.layer("ag.head"))
     dists = ad.softmax(head, axis=-1)
     logits = {nid: ad.getitem(head, i) for i, nid in enumerate(order)}
     dist_map = {nid: ad.getitem(dists, i) for i, nid in enumerate(order)}
@@ -102,8 +101,7 @@ def edge_representations(graphs_and_features, store: ParamStore):
     for g, feats in graphs_and_features:
         for e in g.edges:
             pair = ad.concat([feats[e.parent], feats[e.child]], axis=-1)
-            vec = ad.add(ad.matmul(pair, store["ag.edge.w"]),
-                         store["ag.edge.b"])
+            vec = ad.linear(pair, *store.layer("ag.edge"))
             reprs.append((e.op, vec))
     return reprs
 

@@ -75,18 +75,15 @@ def init_aligner_params(store: ParamStore, h_v: int, heads: int = 4):
     store.linear("al.mlp_irr.2", h_v, 1)
 
 
-def _lin(x, store, name):
-    return ad.add(ad.matmul(x, store[f"{name}.w"]), store[f"{name}.b"])
-
-
 def _mlp2(x, store, prefix):
-    return _lin(ad.relu(_lin(x, store, f"{prefix}.1")), store, f"{prefix}.2")
+    hidden = ad.relu(ad.linear(x, *store.layer(f"{prefix}.1")))
+    return ad.linear(hidden, *store.layer(f"{prefix}.2"))
 
 
 def _pool(feats, store, name):
     """Softmax-weighted sum over the second-to-last axis with learned
     scalar scores per element."""
-    logits = _lin(feats, store, name)  # [..., n, 1]
+    logits = ad.linear(feats, *store.layer(name))  # [..., n, 1]
     weights = ad.softmax(logits, axis=-2)
     return ad.reduce_sum(ad.mul(weights, feats), axis=-2)
 
@@ -113,7 +110,7 @@ def aggregate_frames(f_a_c, f_m, f_q, store: ParamStore,
     back to h_v before attention.  Returns [..., n_c, 2*h_v].
     """
     f_q = ad._as_tensor(f_q)
-    projected = _lin(ad._as_tensor(f_a_c), store, "al.proj_a")
+    projected = ad.linear(f_a_c, *store.layer("al.proj_a"))
     fused = ad.transformer_encoder_layer(projected, f_q, f_q, store,
                                          "al.frm_tf", heads)
     pooled = _pool(fused, store, "al.frm_pool")  # [..., n_c, h_v]
@@ -123,7 +120,7 @@ def aggregate_frames(f_a_c, f_m, f_q, store: ParamStore,
 def clip_scores(f_m_c, f_q, store: ParamStore, heads: int = 4):
     """Relevance/irrelevance logits per clip: [..., n_c, 2]."""
     f_q = ad._as_tensor(f_q)
-    projected = _lin(ad._as_tensor(f_m_c), store, "al.proj_m")
+    projected = ad.linear(f_m_c, *store.layer("al.proj_m"))
     fused = ad.transformer_encoder_layer(projected, f_q, f_q, store,
                                          "al.mot_tf", heads)
     s_rel = _mlp2(fused, store, "al.mlp_rel")
@@ -260,9 +257,10 @@ def backbone_joint(clip_feats, f_q, store: ParamStore,
         )
     q_bar = ad.reduce_mean(f_q, axis=-2)
     if pooled.ndim > q_bar.ndim:
-        q_bar = ad.add(q_bar, Tensor(np.zeros(pooled.shape[:-1] + q_bar.shape[-1:])))
+        q_bar = ad.broadcast_to(q_bar, pooled.shape[:-1] + q_bar.shape[-1:])
     x = ad.concat([pooled, q_bar], axis=-1)
-    return _lin(ad.relu(_lin(x, store, "bb.l1")), store, "bb.l2")
+    hidden = ad.relu(ad.linear(x, *store.layer("bb.l1")))
+    return ad.linear(hidden, *store.layer("bb.l2"))
 
 
 def init_answer_head(store: ParamStore, h: int, vocab_size: int):
@@ -270,7 +268,7 @@ def init_answer_head(store: ParamStore, h: int, vocab_size: int):
 
 
 def answer_logits(joint, store: ParamStore) -> Tensor:
-    return _lin(joint, store, "al.head")
+    return ad.linear(joint, *store.layer("al.head"))
 
 
 def aligner_answer_and_loss(v: VideoFeatures, f_q, gold: int,
@@ -287,7 +285,7 @@ def aligner_answer_and_loss(v: VideoFeatures, f_q, gold: int,
     """
     obj = aggregate_objects(Tensor(v.f_o), Tensor(v.f_a), f_q, store, heads)
     f_m_c = aggregate_frames(obj, Tensor(v.f_m), f_q, store, heads)
-    clips = _lin(f_m_c, store, "al.proj_m")  # clip-level h_v features
+    clips = ad.linear(f_m_c, *store.layer("al.proj_m"))  # clip-level h_v
     ind = clip_indicator(f_m_c, f_q, store, temperature=temperature,
                          hard=hard, rng=rng, noise=noise, heads=heads)
     v_r, v_c, v_prime = build_views(v, ind, pool, rng)
@@ -298,9 +296,9 @@ def aligner_answer_and_loss(v: VideoFeatures, f_q, gold: int,
     f_neg = backbone_joint(clips, f_q, store, clip_weights=w_irr)
     prime_obj = aggregate_objects(Tensor(v_prime.f_o), Tensor(v_prime.f_a),
                                   f_q, store, heads)
-    prime_clips = _lin(
+    prime_clips = ad.linear(
         aggregate_frames(prime_obj, Tensor(v_prime.f_m), f_q, store, heads),
-        store, "al.proj_m",
+        *store.layer("al.proj_m"),
     )
     f_pos = backbone_joint(prime_clips, f_q, store)
 

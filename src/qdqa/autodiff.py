@@ -206,43 +206,78 @@ def power(a, exponent: float) -> Tensor:
     )
 
 
+def _matmul_grads(g, a: Tensor, b: Tensor):
+    """Gradients of `a @ b` given the output gradient g; None for an
+    operand that gets none."""
+    ad, bd = a.data, b.data
+    ga = gb = None
+    if ad.ndim == 1 and bd.ndim == 1:
+        if _needs_grad(a):
+            ga = g * bd
+        if _needs_grad(b):
+            gb = g * ad
+    elif ad.ndim == 1:
+        # (k,) @ (..., k, n) -> (..., n)
+        if _needs_grad(a):
+            ga = _unbroadcast((g[..., None, :] * bd).sum(axis=-1), ad.shape)
+        if _needs_grad(b):
+            gb = _unbroadcast(ad[..., :, None] * g[..., None, :], bd.shape)
+    elif bd.ndim == 1:
+        # (..., m, k) @ (k,) -> (..., m)
+        if _needs_grad(a):
+            ga = _unbroadcast(g[..., :, None] * bd, ad.shape)
+        if _needs_grad(b):
+            gb = _unbroadcast((g[..., :, None] * ad).sum(axis=-2), bd.shape)
+    else:
+        if _needs_grad(a):
+            ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+        if _needs_grad(b):
+            gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
+    return ga, gb
+
+
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim == 0 or b.ndim == 0:
         raise ShapeError("matmul requires at least 1-d operands")
     data = a.data @ b.data
+    return _make(data, (a, b), lambda g: _matmul_grads(g, a, b))
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one tape node, bit for bit equal to
+    add(matmul(x, w), b) in value and gradients.
+
+    Leading axes of x with stride 0 (an x made by `broadcast_to`) are
+    projected once and broadcast back as a view; gemm runs matrix by
+    matrix over leading axes, so each copy would get the same bits."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim == 0 or w.ndim == 0:
+        raise ShapeError("linear requires at least 1-d x and w")
+    xd = x.data
+    lead = xd.ndim - 2
+    if lead > 0 and w.ndim == 2 and b.ndim <= 1 and 0 in xd.strides[:lead]:
+        distinct = tuple(slice(0, 1) if s == 0 else slice(None)
+                         for s in xd.strides[:lead])
+        y = xd[distinct] @ w.data
+        y += b.data
+        data = np.broadcast_to(y, xd.shape[:-1] + y.shape[-1:])
+    else:
+        data = xd @ w.data
+        data += b.data
 
     def backward(g):
-        ad, bd = a.data, b.data
-        ga = gb = None
-        if ad.ndim == 1 and bd.ndim == 1:
-            if _needs_grad(a):
-                ga = g * bd
-            if _needs_grad(b):
-                gb = g * ad
-        elif ad.ndim == 1:
-            # (k,) @ (..., k, n) -> (..., n)
-            if _needs_grad(a):
-                ga = _unbroadcast((g[..., None, :] * bd).sum(axis=-1),
-                                  ad.shape)
-            if _needs_grad(b):
-                gb = _unbroadcast(ad[..., :, None] * g[..., None, :],
-                                  bd.shape)
-        elif bd.ndim == 1:
-            # (..., m, k) @ (k,) -> (..., m)
-            if _needs_grad(a):
-                ga = _unbroadcast(g[..., :, None] * bd, ad.shape)
-            if _needs_grad(b):
-                gb = _unbroadcast((g[..., :, None] * ad).sum(axis=-2),
-                                  bd.shape)
-        else:
-            if _needs_grad(a):
-                ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
-            if _needs_grad(b):
-                gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
-        return (ga, gb)
+        gx, gw = _matmul_grads(g, x, w)
+        return gx, gw, _unbroadcast(g, b.shape) if _needs_grad(b) else None
 
-    return _make(data, (a, b), backward)
+    return _make(data, (x, w, b), backward)
+
+
+def broadcast_to(a, shape) -> Tensor:
+    """Read-only numpy broadcast view: no copy in the forward pass."""
+    a = _as_tensor(a)
+    data = np.broadcast_to(a.data, shape)
+    return _make(data, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -358,9 +393,10 @@ def sigmoid(a) -> Tensor:
 
 def softmax(a, axis=-1) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    # in place on the one array this op allocates: same bits, less memory
+    data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
@@ -385,11 +421,10 @@ def log_softmax(a, axis=-1) -> Tensor:
 def layer_norm(a, eps=1e-6) -> Tensor:
     """Normalize over the last axis (no affine parameters)."""
     a = _as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    data = a.data - a.data.mean(axis=-1, keepdims=True)
+    var = (data ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    data = centered * inv
+    data *= inv  # in place on the array this op allocated
     n = a.data.shape[-1]
 
     def backward(g):
@@ -509,6 +544,10 @@ class ParamStore:
         w = self.add(f"{name}.w", (in_dim, out_dim))
         b = self.add(f"{name}.b", (out_dim,), init="zeros")
         return w, b
+
+    def layer(self, name: str) -> tuple[Tensor, Tensor]:
+        """The (weight, bias) pair that `linear(name, ...)` created."""
+        return self.params[f"{name}.w"], self.params[f"{name}.b"]
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -668,8 +707,7 @@ def transformer_encoder_layer(query, key, value, store: ParamStore,
     hd = h // heads
 
     def lin(x, name):
-        w, b = store[f"{prefix}.{name}.w"], store[f"{prefix}.{name}.b"]
-        return add(matmul(x, w), b)
+        return linear(x, *store.layer(f"{prefix}.{name}"))
 
     def split_heads(x):
         # [..., t, h] -> [..., heads, t, hd]

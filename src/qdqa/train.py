@@ -119,7 +119,7 @@ class PackedSplit:
     f_q: np.ndarray  # [N, n_q, h_q]
     gold: np.ndarray  # [N] vocab indices
     node_ids: list
-    planted: list  # [N] sorted planted-relevant clip lists
+    planted: np.ndarray  # [N, n_c] bool, True at planted-relevant clips
     clusters: list  # (graph, {node id -> global row})
 
     @property
@@ -144,11 +144,15 @@ def pack_split(instances, vocab_index: dict) -> PackedSplit:
             planted.append(inst.planted_relevance[node.id])
         clusters.append((inst.graph, rows))
         graphs.append(inst.graph)
+    f_m = np.stack(f_m)
+    mask = np.zeros(f_m.shape[:2], dtype=bool)
+    mask[np.repeat(np.arange(len(planted)), [len(r) for r in planted]),
+         np.concatenate(planted)] = True
     return PackedSplit(
         graphs=graphs,
-        f_o=np.stack(f_o), f_a=np.stack(f_a), f_m=np.stack(f_m),
+        f_o=np.stack(f_o), f_a=np.stack(f_a), f_m=f_m,
         f_q=np.stack(f_q), gold=np.asarray(gold, dtype=np.int64),
-        node_ids=node_ids, planted=planted, clusters=clusters,
+        node_ids=node_ids, planted=mask, clusters=clusters,
     )
 
 
@@ -170,10 +174,11 @@ def init_params(config: RunConfig) -> ParamStore:
 
 def _broadcast_tokens(f_q: Tensor, lead: tuple) -> Tensor:
     """[B, n_q, h] -> [B, *lead, n_q, h] so attention keys line up with a
-    query that carries extra structural axes."""
+    query that carries extra structural axes.  A zero-stride view, so the
+    key and value projections run once per video."""
     b, n_q, h = f_q.shape
     r = ad.reshape(f_q, (b,) + (1,) * len(lead) + (n_q, h))
-    return ad.add(r, Tensor(np.zeros((b,) + lead + (n_q, h))))
+    return ad.broadcast_to(r, (b,) + lead + (n_q, h))
 
 
 def _clip_pipeline(f_o, f_a, f_m, f_q, store, config):
@@ -184,7 +189,7 @@ def _clip_pipeline(f_o, f_a, f_m, f_q, store, config):
     obj = aligner.aggregate_objects(f_o, f_a, fq_obj, store, config.heads)
     fq_frm = _broadcast_tokens(f_q, (n_c,))
     f_m_c = aligner.aggregate_frames(obj, f_m, fq_frm, store, config.heads)
-    clips = aligner._lin(f_m_c, store, "al.proj_m")
+    clips = ad.linear(f_m_c, *store.layer("al.proj_m"))
     return f_m_c, clips
 
 
@@ -294,8 +299,8 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
             # question-correlated clip pull toward inclusion, so partial
             # selections cannot satisfy the loss the way they can with
             # pooled views.
-            q_anchor = aligner._lin(ad.reduce_mean(f_q, axis=-2), store,
-                                    "al.q_anchor")  # [B, h_v]
+            q_anchor = ad.linear(ad.reduce_mean(f_q, axis=-2),
+                                 *store.layer("al.q_anchor"))  # [B, h_v]
             b = q_anchor.shape[0]
             s = ad.reduce_sum(
                 ad.mul(ad.reshape(q_anchor, (b, 1, q_anchor.shape[-1])),
@@ -349,6 +354,11 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
     return terms, total, dists
 
 
+# videos per block of the clip stages in predict_split; 128 to 512
+# measured about the same
+EVAL_BLOCK = 256
+
+
 def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
     """Deterministic (zero-noise) predictions over a whole split.
 
@@ -361,18 +371,26 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
     f_q = Tensor(pack.f_q)
     relevance = {}
     if config.use_aligner:
-        f_m_c, clips = _clip_pipeline(Tensor(pack.f_o), Tensor(pack.f_a),
-                                      Tensor(pack.f_m), f_q, store, config)
-        zero = np.zeros(f_m_c.shape[:-1] + (2,))
-        ind, _ = _indicator(f_m_c, f_q, store, config, zero)
-        w_rel = ad.getitem(ind, (slice(None), slice(None), 0))
-        joint = aligner.backbone_joint(clips, f_q, store, clip_weights=w_rel)
-        hit = planted = chosen = 0
-        for i, rel in enumerate(pack.planted):
-            picked = set(np.nonzero(ind.data[i, :, 0] > 0.5)[0])
-            hit += len(picked & set(rel))
-            planted += len(rel)
-            chosen += len(picked)
+        # the clip stages run per video, so blocks give the same bits and
+        # smaller temporaries; the 2-D GEMMs after them see the whole split
+        clips, ind = [], []
+        for lo in range(0, pack.n_nodes, EVAL_BLOCK):
+            rows = slice(lo, lo + EVAL_BLOCK)
+            f_q_blk = Tensor(pack.f_q[rows])
+            f_m_c, clips_blk = _clip_pipeline(
+                Tensor(pack.f_o[rows]), Tensor(pack.f_a[rows]),
+                Tensor(pack.f_m[rows]), f_q_blk, store, config)
+            zero = np.zeros(f_m_c.shape[:-1] + (2,))
+            ind_blk, _ = _indicator(f_m_c, f_q_blk, store, config, zero)
+            clips.append(clips_blk.data)
+            ind.append(ind_blk.data)
+        w_rel = np.concatenate(ind)[:, :, 0]
+        joint = aligner.backbone_joint(np.concatenate(clips), f_q, store,
+                                       clip_weights=w_rel)
+        picked = w_rel > 0.5
+        hit = int((picked & pack.planted).sum())
+        planted = int(pack.planted.sum())
+        chosen = int(picked.sum())
         relevance = {
             "recall": hit / planted if planted else 0.0,
             "precision": hit / chosen if chosen else 0.0,

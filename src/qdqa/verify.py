@@ -77,6 +77,29 @@ def check_plumbing(seed: int) -> float:
     return ad.grad_check(fn, [a, b])
 
 
+def check_linear(seed: int) -> float:
+    """linear on 1-d, 2-d and 5-d inputs and on a zero-stride broadcast
+    input, and broadcast_to over leading and inner size-1 axes."""
+    rng = np.random.default_rng([seed, 10])
+    shapes = [(3, 2), (2,), (3,), (4, 3), (2, 2, 1, 2, 3), (2, 1, 1, 2, 3),
+              (3, 1, 2)]
+    inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    wide, spread = (2, 3, 2, 2, 3), (2, 3, 4, 2)
+    readouts = [Tensor(rng.normal(size=s)) for s in
+                ((2,), (4, 2), (2, 2, 1, 2, 2), (2, 3, 2, 2, 2), spread)]
+
+    def fn(inputs):
+        w, b, x1, x2, x5, base, c = inputs
+        pieces = [ad.linear(x, w, b) for x in
+                  (x1, x2, x5, ad.broadcast_to(base, wide))]
+        pieces.append(ad.broadcast_to(c, spread))
+        return ad.reduce_sum(ad.stack(
+            [ad.reduce_sum(ad.mul(p, r)) for p, r in zip(pieces, readouts)]
+        ))
+
+    return ad.grad_check(fn, inputs)
+
+
 def check_hierarchy(seed: int) -> float:
     """Object and frame aggregation stages end to end."""
     rng = np.random.default_rng([seed, 2])
@@ -252,7 +275,8 @@ def check_total_losses(seed: int) -> float:
 
 SUITES = {
     "autodiff": (("transformer", check_transformer),
-                 ("plumbing", check_plumbing)),
+                 ("plumbing", check_plumbing),
+                 ("linear", check_linear)),
     "aligner": (("hierarchy", check_hierarchy),
                 ("contrastive", check_contrastive)),
     "aggregator": (("gat_head", check_gat_head),

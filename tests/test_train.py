@@ -20,7 +20,11 @@ from qdqa.train import (
     predict_split,
     train,
 )
-from test_autodiff import reference_backward
+from test_autodiff import (
+    composite_broadcast,
+    composite_linear,
+    reference_backward,
+)
 
 
 def tiny_config(**kw):
@@ -69,6 +73,12 @@ def test_pack_split_shapes_and_rows():
     assert sorted(rows) == list(range(n))
     for g, m in train_pack.clusters:
         assert set(m) == {node.id for node in g.nodes}
+    assert train_pack.planted.shape == (n, sc.n_c)
+    ds = generate_dataset(sc)
+    for inst, (_, m) in zip(ds.train, train_pack.clusters):
+        for nid, rel in inst.planted_relevance.items():
+            assert np.nonzero(train_pack.planted[m[nid]])[0].tolist() == \
+                list(rel)
 
 
 def test_init_params_respects_flags():
@@ -235,6 +245,77 @@ def test_backward_matches_reference_walk_bitwise(row, batch):
         walk(total)
         grads.append({n: t.grad.tobytes() for n, t in store.params.items()})
     assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("row", ["full", "aggregator_triplet"])
+@pytest.mark.parametrize("batch", [[0, 1], [0, 0, 1]])
+def test_fused_ops_keep_gradients_bitwise(monkeypatch, row, batch):
+    cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
+    train_pack, _, _ = packs_for(cfg)
+
+    def run():
+        store = init_params(cfg)
+        terms, total, _ = forward_losses(train_pack, batch, store, cfg,
+                                         np.random.default_rng(0))
+        total.backward()
+        return ({k: v.data.tobytes() for k, v in terms.items()},
+                {n: t.grad.tobytes() for n, t in store.params.items()})
+
+    fused = run()
+    monkeypatch.setattr(autodiff, "linear", composite_linear)
+    monkeypatch.setattr(autodiff, "broadcast_to", composite_broadcast)
+    assert run() == fused
+
+
+@pytest.mark.parametrize("row", ["full", "aligner"])
+def test_blocked_predict_split_matches_one_block(monkeypatch, row):
+    cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
+    store = init_params(cfg)
+    _, val_pack, _ = packs_for(cfg)
+    joints = []
+    joint = tr.aligner.backbone_joint
+
+    def recording_joint(*args, **kwargs):
+        out = joint(*args, **kwargs)
+        joints.append(out.data.tobytes())
+        return out
+
+    monkeypatch.setattr(tr.aligner, "backbone_joint", recording_joint)
+    monkeypatch.setattr(tr, "EVAL_BLOCK", 3)  # ragged last block
+    assert val_pack.n_nodes % 3
+    blocked = predict_split(store, cfg, val_pack)
+    monkeypatch.setattr(tr, "EVAL_BLOCK", val_pack.n_nodes)
+    assert predict_split(store, cfg, val_pack) == blocked
+    assert joints[0] == joints[1]
+
+
+def test_relevance_tally_matches_set_loop(monkeypatch):
+    cfg = tiny_config()
+    store = init_params(cfg)
+    _, val_pack, _ = packs_for(cfg)
+    blocks = []
+    indicator = tr._indicator
+
+    def recording_indicator(*args, **kwargs):
+        out = indicator(*args, **kwargs)
+        blocks.append(out[0].data)
+        return out
+
+    monkeypatch.setattr(tr, "_indicator", recording_indicator)
+    monkeypatch.setattr(tr, "EVAL_BLOCK", 4)
+    _, relevance = predict_split(store, cfg, val_pack)
+    ind = np.concatenate(blocks)
+    ds = generate_dataset(cfg.synthetic)
+    rels = [inst.planted_relevance[node.id]
+            for inst in ds.validation for node in inst.graph.nodes]
+    hit = planted = chosen = 0
+    for i, rel in enumerate(rels):
+        picked = set(np.nonzero(ind[i, :, 0] > 0.5)[0])
+        hit += len(picked & set(rel))
+        planted += len(rel)
+        chosen += len(picked)
+    assert 0 < hit < chosen
+    assert relevance == {"recall": hit / planted, "precision": hit / chosen}
 
 
 @pytest.mark.xfail(strict=True, reason=(
