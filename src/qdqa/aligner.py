@@ -1,11 +1,15 @@
-"""Hierarchical question-conditioned clip selection and alignment losses.
+"""Hierarchical question-conditioned clip selection and the alignment loss.
 
 The aligner walks video features bottom-up (objects -> frames -> clips),
 fusing each level with the question through cross-attention, then scores
-each clip as relevant/irrelevant via a Gumbel-softmax indicator.  Training
-is driven by an answer cross-entropy plus a contrastive loss that pushes
-the relevant-clip representation toward a clip-replaced positive view and
-away from the irrelevant-clip view.
+each clip as relevant/irrelevant via a straight-through Gumbel-softmax
+indicator.  Every function works on a batch of videos stacked along a
+leading axis.  Training adds to the answer cross-entropy a per-clip
+question-anchor loss: a mean softplus that pushes every clip the indicator
+marks relevant toward the projected question and every marked-irrelevant
+clip away from it.  The paper's view contrastive (relevant clips as anchor,
+a clip-replaced video as positive, the irrelevant clips as negative) is not
+implemented.
 """
 
 from __future__ import annotations
@@ -16,14 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tensor
-
-
-class EmptyRelevantError(ValueError):
-    pass
-
-
-class EmptyPoolError(ValueError):
-    pass
 
 
 @dataclass
@@ -45,21 +41,6 @@ class VideoFeatures:
                 and np.isfinite(self.f_m).all()):
             raise ValueError("non-finite video features")
 
-    @property
-    def n_clips(self) -> int:
-        return self.f_m.shape[0]
-
-    def select_clips(self, indices) -> "VideoFeatures":
-        idx = list(indices)
-        return VideoFeatures(self.f_o[idx], self.f_a[idx], self.f_m[idx])
-
-
-@dataclass
-class ClipIndicator:
-    indicator: Tensor  # [n_c, 2]; column 0 = relevant
-    relevant_set: list
-    irrelevant_set: list
-
 
 def init_aligner_params(store: ParamStore, h_v: int, heads: int = 4):
     ad.init_transformer_params(store, "al.obj_tf", h_v, heads)
@@ -73,6 +54,8 @@ def init_aligner_params(store: ParamStore, h_v: int, heads: int = 4):
     store.linear("al.mlp_rel.2", h_v, 1)
     store.linear("al.mlp_irr.1", h_v, h_v)
     store.linear("al.mlp_irr.2", h_v, 1)
+    # question anchor of the alignment loss; the aligner needs h_q == h_v
+    store.linear("al.q_anchor", h_v, h_v)
 
 
 def _mlp2(x, store, prefix):
@@ -128,104 +111,100 @@ def clip_scores(f_m_c, f_q, store: ParamStore, heads: int = 4):
     return ad.concat([s_rel, s_irr], axis=-1)
 
 
-def _force_nonempty_relevant(indicator: Tensor, logits: Tensor) -> Tensor:
-    """If a hard indicator marks every clip irrelevant, flip the clip with
-    the highest relevance logit.  Forward-value surgery with an identity
-    backward, like the straight-through estimator itself."""
-    data = indicator.data
-    if data[..., 0].sum() > 0:
-        return indicator
-    best = int(np.argmax(logits.data[..., 0]))
-    patched = data.copy()
-    patched[best] = [1.0, 0.0]
-    delta = patched - data
-    return ad._make(data + delta, (indicator,), lambda g: (g,))
+def clip_pipeline(f_o, f_a, f_m, f_q, store: ParamStore, heads: int = 4):
+    """Object and frame stages over a batch of videos.
 
-
-def _force_nonempty_irrelevant(indicator: Tensor, logits: Tensor) -> Tensor:
-    """Mirror of the relevant-side surgery: if every clip is marked
-    relevant, flip the clip with the lowest relevance logit.  Without this
-    the contrastive loss has a trivial zero at the all-relevant indicator
-    (the negative view degenerates and the replacement view is the
-    original)."""
-    data = indicator.data
-    if data.shape[-2] < 2 or data[..., 1].sum() > 0:
-        return indicator
-    worst = int(np.argmin(logits.data[..., 0]))
-    patched = data.copy()
-    patched[worst] = [0.0, 1.0]
-    delta = patched - data
-    return ad._make(data + delta, (indicator,), lambda g: (g,))
-
-
-def clip_indicator(f_m_c, f_q, store: ParamStore, temperature: float = 1.0,
-                   hard: bool = False, rng=None, noise=None,
-                   heads: int = 4) -> ClipIndicator:
-    """Per-clip relevant/irrelevant decision via Gumbel-softmax.
-
-    Hard mode returns straight-through one-hot rows; soft mode keeps the
-    smooth sample but still reports argmax clip sets.  Both clip sets are
-    kept non-empty (given at least two clips) so neither contrastive view
-    can degenerate.
+    f_o [B, n_c, n_f, n_o, h_v], f_a [B, n_c, n_f, h_v], f_m [B, n_c, h_v],
+    f_q [B, n_q, h_q].  Returns (f_m_c [B, n_c, 2*h_v], clips [B, n_c, h_v]).
+    The question tokens reach each stage as a zero-stride view with the
+    stage's structural axes, so their key and value projections run once
+    per video.
     """
+    b, n_q, h = f_q.shape
+    n_c, n_f = f_o.shape[1], f_o.shape[2]
+
+    def tokens(lead):
+        r = ad.reshape(f_q, (b,) + (1,) * len(lead) + (n_q, h))
+        return ad.broadcast_to(r, (b,) + lead + (n_q, h))
+
+    obj = aggregate_objects(f_o, f_a, tokens((n_c, n_f)), store, heads)
+    f_m_c = aggregate_frames(obj, f_m, tokens((n_c,)), store, heads)
+    clips = ad.linear(f_m_c, *store.layer("al.proj_m"))
+    return f_m_c, clips
+
+
+def _force_nonempty_rows(ind: Tensor, logits: Tensor) -> Tensor:
+    """Keep both clip sets non-empty per row; identity backward, like the
+    straight-through trick itself.
+
+    All-irrelevant rows get their best relevance-logit clip flipped on;
+    all-relevant rows (given at least two clips) get their worst clip
+    flipped off, which removes the trivial zero of the alignment loss at
+    the all-relevant indicator."""
+    data = ind.data
+    n_c = data.shape[-2]
+    no_rel = data[..., 0].sum(axis=-1) == 0
+    no_irr = data[..., 1].sum(axis=-1) == 0
+    if not (no_rel.any() or (n_c > 1 and no_irr.any())):
+        return ind
+    patched = data.copy()
+    rows = np.nonzero(no_rel)[0]
+    best = logits.data[rows, :, 0].argmax(axis=-1)
+    patched[rows, best] = [1.0, 0.0]
+    if n_c > 1:
+        rows = np.nonzero(no_irr)[0]
+        worst = logits.data[rows, :, 0].argmin(axis=-1)
+        patched[rows, worst] = [0.0, 1.0]
+    return ad._make(patched, (ind,), lambda g: (g,))
+
+
+def hard_indicator(f_m_c, f_q, store: ParamStore, heads: int,
+                   temperature: float, rng=None,
+                   noise=None) -> tuple[Tensor, Tensor]:
+    """Straight-through indicator [B, n_c, 2] (column 0 = relevant) plus
+    its logits, with both clip sets of every row kept non-empty.  The
+    Gumbel noise is `noise` when given, else drawn from `rng`."""
     logits = clip_scores(f_m_c, f_q, store, heads)
-    ind = ad.gumbel_softmax(logits, temperature=temperature, hard=hard,
+    ind = ad.gumbel_softmax(logits, temperature=temperature, hard=True,
                             rng=rng, noise=noise)
-    relevant, irrelevant = [], []
-    if ind.data.ndim == 2:
-        if hard:
-            ind = _force_nonempty_relevant(ind, logits)
-            ind = _force_nonempty_irrelevant(ind, logits)
-        choices = ind.data.argmax(axis=-1)
-        if (choices == 1).all():
-            choices[int(np.argmax(logits.data[..., 0]))] = 0
-        elif (choices == 0).all() and len(choices) > 1:
-            choices[int(np.argmin(logits.data[..., 0]))] = 1
-        for c, pick in enumerate(choices):
-            (relevant if pick == 0 else irrelevant).append(c)
-    return ClipIndicator(indicator=ind, relevant_set=relevant,
-                         irrelevant_set=irrelevant)
+    return _force_nonempty_rows(ind, logits), logits
 
 
-def build_views(v: VideoFeatures, ind: ClipIndicator,
-                pool: list[VideoFeatures], rng):
-    """Relevant-only, irrelevant-only, and replacement views of a video.
+def _softplus_mean(x: Tensor) -> Tensor:
+    """Numerically stable mean softplus over a batch vector."""
+    sign = np.where(x.data >= 0, 1.0, -1.0)
+    absx = ad.mul(x, sign)
+    soft = ad.add(ad.relu(x),
+                  ad.log(ad.add(ad.exp(ad.mul(absx, -1.0)), 1.0)))
+    return ad.reduce_mean(soft)
 
-    Replacement swaps each irrelevant clip (all three levels jointly) for a
-    uniformly drawn clip from the pool videos.
+
+def anchor_contrastive(f_q, clips, ind: Tensor, w_rel: Tensor,
+                       store: ParamStore) -> Tensor:
+    """Per-clip question alignment loss.
+
+    Every clip the indicator marks relevant must score positively against
+    its question anchor (the projected mean question token), every
+    marked-irrelevant clip negatively.  Anchoring on the question keeps the
+    loss sensitive to WHICH clips are selected, and the per-clip form makes
+    each genuinely question-correlated clip pull toward inclusion, so
+    partial selections cannot satisfy the loss the way they can with
+    pooled views.  w_rel is the relevant column of ind that also weights
+    the backbone's clip pooling; taking it rather than slicing ind again
+    keeps one tape node for it.
     """
-    if not ind.relevant_set:
-        raise EmptyRelevantError("hard indicator selected no relevant clips")
-    v_r = v.select_clips(ind.relevant_set)
-    v_c = (v.select_clips(ind.irrelevant_set)
-           if ind.irrelevant_set else None)
-    f_o = v.f_o.copy()
-    f_a = v.f_a.copy()
-    f_m = v.f_m.copy()
-    if ind.irrelevant_set:
-        if not pool:
-            raise EmptyPoolError("replacement pool is empty")
-        for c in ind.irrelevant_set:
-            src = pool[int(rng.integers(len(pool)))]
-            clip = int(rng.integers(src.n_clips))
-            f_o[c] = src.f_o[clip]
-            f_a[c] = src.f_a[clip]
-            f_m[c] = src.f_m[clip]
-    v_prime = VideoFeatures(f_o, f_a, f_m)
-    return v_r, v_c, v_prime
-
-
-def alignment_contrastive_loss(f_anchor, f_pos, f_neg) -> Tensor:
-    """Two-way InfoNCE on dot-product similarities, log-sum-exp stabilized."""
-    f_anchor, f_pos, f_neg = map(ad._as_tensor, (f_anchor, f_pos, f_neg))
-    if not (f_anchor.shape == f_pos.shape == f_neg.shape):
-        raise ShapeError("contrastive features must share a width")
-    s_pos = ad.reduce_sum(ad.mul(f_anchor, f_pos))
-    s_neg = ad.reduce_sum(ad.mul(f_anchor, f_neg))
-    x = ad.add(s_neg, ad.mul(s_pos, -1.0))  # loss = softplus(s_neg - s_pos)
-    if x.data > 0:
-        return ad.add(x, ad.log(ad.add(ad.exp(ad.mul(x, -1.0)), 1.0)))
-    return ad.log(ad.add(ad.exp(x), 1.0))
+    q_anchor = ad.linear(ad.reduce_mean(f_q, axis=-2),
+                         *store.layer("al.q_anchor"))  # [B, h_v]
+    if clips.shape[-1] != q_anchor.shape[-1]:
+        raise ShapeError("clip and question-anchor widths differ")
+    b = q_anchor.shape[0]
+    s = ad.reduce_sum(
+        ad.mul(ad.reshape(q_anchor, (b, 1, q_anchor.shape[-1])), clips),
+        axis=-1,
+    )  # [B, n_c]
+    w_irr = ad.getitem(ind, (slice(None), slice(None), 1))
+    sign = ad.add(w_irr, ad.mul(w_rel, -1.0))
+    return _softplus_mean(ad.mul(s, sign))
 
 
 # -- reference backbone ----------------------------------------------------
@@ -239,7 +218,8 @@ def init_backbone_params(store: ParamStore, h_v: int, h_q: int, h: int):
 def backbone_joint(clip_feats, f_q, store: ParamStore,
                    clip_weights=None) -> Tensor:
     """Joint video-question feature: pooled clips + pooled question tokens
-    through a 2-layer MLP.  clip_feats [..., n_c, h_v], f_q [n_q, h_q].
+    through a 2-layer MLP.  clip_feats [..., n_c, h_v], f_q [..., n_q, h_q]
+    with the same leading axes.
 
     clip_weights, when given, is a [..., n_c] non-negative weighting
     (e.g. a straight-through indicator column); otherwise a plain mean.
@@ -256,8 +236,6 @@ def backbone_joint(clip_feats, f_q, store: ParamStore,
             ad.mul(ad.reshape(norm, norm.shape + (1,)), clip_feats), axis=-2
         )
     q_bar = ad.reduce_mean(f_q, axis=-2)
-    if pooled.ndim > q_bar.ndim:
-        q_bar = ad.broadcast_to(q_bar, pooled.shape[:-1] + q_bar.shape[-1:])
     x = ad.concat([pooled, q_bar], axis=-1)
     hidden = ad.relu(ad.linear(x, *store.layer("bb.l1")))
     return ad.linear(hidden, *store.layer("bb.l2"))
@@ -269,41 +247,3 @@ def init_answer_head(store: ParamStore, h: int, vocab_size: int):
 
 def answer_logits(joint, store: ParamStore) -> Tensor:
     return ad.linear(joint, *store.layer("al.head"))
-
-
-def aligner_answer_and_loss(v: VideoFeatures, f_q, gold: int,
-                            store: ParamStore, rng,
-                            pool: list[VideoFeatures],
-                            temperature: float = 1.0,
-                            heads: int = 4, noise=None, hard: bool = True):
-    """Full per-instance aligner pass: indicator, views, answer CE plus the
-    contrastive term.  Returns (answer distribution, total loss).
-
-    hard=True pools clips by the straight-through one-hot indicator;
-    hard=False keeps the soft sample, which makes the whole loss smooth
-    (the views still come from the argmax clip partition).
-    """
-    obj = aggregate_objects(Tensor(v.f_o), Tensor(v.f_a), f_q, store, heads)
-    f_m_c = aggregate_frames(obj, Tensor(v.f_m), f_q, store, heads)
-    clips = ad.linear(f_m_c, *store.layer("al.proj_m"))  # clip-level h_v
-    ind = clip_indicator(f_m_c, f_q, store, temperature=temperature,
-                         hard=hard, rng=rng, noise=noise, heads=heads)
-    v_r, v_c, v_prime = build_views(v, ind, pool, rng)
-
-    w_rel = ad.getitem(ind.indicator, (slice(None), 0))
-    w_irr = ad.getitem(ind.indicator, (slice(None), 1))
-    f_anchor = backbone_joint(clips, f_q, store, clip_weights=w_rel)
-    f_neg = backbone_joint(clips, f_q, store, clip_weights=w_irr)
-    prime_obj = aggregate_objects(Tensor(v_prime.f_o), Tensor(v_prime.f_a),
-                                  f_q, store, heads)
-    prime_clips = ad.linear(
-        aggregate_frames(prime_obj, Tensor(v_prime.f_m), f_q, store, heads),
-        *store.layer("al.proj_m"),
-    )
-    f_pos = backbone_joint(prime_clips, f_q, store)
-
-    logits = answer_logits(f_anchor, store)
-    dist = ad.softmax(logits, axis=-1)
-    ce = ad.softmax_cross_entropy(logits, gold)
-    contrastive = alignment_contrastive_loss(f_anchor, f_pos, f_neg)
-    return dist, ad.add(ce, contrastive)

@@ -66,9 +66,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- autograd plumbing ------------------------------------------------
 
     def backward(self, grad=None):
@@ -605,15 +602,6 @@ class ParamStore:
                 data.copy(), requires_grad=True
             )
         return store
-
-    def load_values(self, other: "ParamStore"):
-        """Copy values by name from another store (shapes must match)."""
-        for name, t in other.params.items():
-            if name not in self.params:
-                raise KeyError(name)
-            if self.params[name].shape != t.shape:
-                raise ShapeError(f"shape mismatch for {name}")
-            self.params[name].data = t.data.copy()
 
 
 class Adam:

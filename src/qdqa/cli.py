@@ -56,9 +56,9 @@ def _apply_gold(graph, gold_map):
     return qdg.from_dict(doc)
 
 
-def _check_ids_unique(graph_list):
+def _check_ids_unique(graph_list) -> dict:
     """Metrics key answers by node id, so two graphs sharing an id would
-    share one prediction and one gold answer."""
+    share one prediction and one gold answer.  Returns node id -> graph."""
     owner = {}
     for g in graph_list:
         for node in g.nodes:
@@ -69,6 +69,16 @@ def _check_ids_unique(graph_list):
                     f"{first.graph_id!r} and {g.graph_id!r}",
                     g.graph_id,
                 )
+    return owner
+
+
+def _check_ids_known(owner: dict, answers: dict, path: str):
+    """An answer whose id names no node would be silently ignored."""
+    if not answers.keys() <= owner.keys():
+        unknown = next(nid for nid in answers if nid not in owner)
+        raise ValueError(
+            f"{path}: id {unknown!r} names no node of --graphs"
+        )
 
 
 @main.command("eval")
@@ -84,9 +94,11 @@ def eval_cmd(graphs, gold, pred, beta, out):
     """Consistency metrics for predictions against gold answers."""
     try:
         graph_list = qdg.load_jsonl(Path(graphs).read_text())
-        _check_ids_unique(graph_list)
+        owner = _check_ids_unique(graph_list)
         gold_map = metrics.load_predictions_jsonl(Path(gold).read_text())
+        _check_ids_known(owner, gold_map, gold)
         predictions = metrics.load_predictions_jsonl(Path(pred).read_text())
+        _check_ids_known(owner, predictions, pred)
         graph_list = [_apply_gold(g, gold_map) for g in graph_list]
         report = metrics.full_report(graph_list, predictions, beta)
     except (QdgError, KeyError, ValueError, json.JSONDecodeError) as exc:

@@ -104,11 +104,6 @@ class SyntheticInstance:
     def graph(self) -> QDG:
         return self.cluster.graph
 
-    @property
-    def video(self) -> VideoFeatures:
-        """The main question's view."""
-        return self.videos[self.cluster.main.id]
-
 
 class SignalBank:
     """Fixed embedding directions shared by every instance of a config."""

@@ -162,68 +162,12 @@ def init_params(config: RunConfig) -> ParamStore:
     vocab = len(sc.vocab)
     if config.use_aligner:
         aligner.init_aligner_params(store, sc.h_v, config.heads)
-        # question anchor for the contrastive alignment term
-        store.linear("al.q_anchor", sc.h_q, sc.h_v)
     aligner.init_backbone_params(store, sc.h_v, sc.h_q, config.h)
     aligner.init_answer_head(store, config.h, vocab)
     if config.use_aggregator:
         aggregator.init_aggregator_params(store, config.h, config.layers,
                                           vocab)
     return store
-
-
-def _broadcast_tokens(f_q: Tensor, lead: tuple) -> Tensor:
-    """[B, n_q, h] -> [B, *lead, n_q, h] so attention keys line up with a
-    query that carries extra structural axes.  A zero-stride view, so the
-    key and value projections run once per video."""
-    b, n_q, h = f_q.shape
-    r = ad.reshape(f_q, (b,) + (1,) * len(lead) + (n_q, h))
-    return ad.broadcast_to(r, (b,) + lead + (n_q, h))
-
-
-def _clip_pipeline(f_o, f_a, f_m, f_q, store, config):
-    """Batched object->frame hierarchy; returns (f_m_c [B,n_c,2h],
-    clips [B,n_c,h])."""
-    n_c, n_f = f_o.shape[1], f_o.shape[2]
-    fq_obj = _broadcast_tokens(f_q, (n_c, n_f))
-    obj = aligner.aggregate_objects(f_o, f_a, fq_obj, store, config.heads)
-    fq_frm = _broadcast_tokens(f_q, (n_c,))
-    f_m_c = aligner.aggregate_frames(obj, f_m, fq_frm, store, config.heads)
-    clips = ad.linear(f_m_c, *store.layer("al.proj_m"))
-    return f_m_c, clips
-
-
-def _force_nonempty_rows(ind: Tensor, logits: Tensor) -> Tensor:
-    """Keep both clip sets non-empty per row; identity backward, like the
-    straight-through trick itself.
-
-    All-irrelevant rows get their best relevance-logit clip flipped on;
-    all-relevant rows get their worst clip flipped off.  The latter removes
-    the trivial zero of the contrastive loss at the all-relevant indicator
-    (degenerate negative view, replacement view equal to the original)."""
-    data = ind.data
-    n_c = data.shape[-2]
-    no_rel = data[..., 0].sum(axis=-1) == 0
-    no_irr = data[..., 1].sum(axis=-1) == 0
-    if not (no_rel.any() or (n_c > 1 and no_irr.any())):
-        return ind
-    patched = data.copy()
-    rows = np.nonzero(no_rel)[0]
-    best = logits.data[rows, :, 0].argmax(axis=-1)
-    patched[rows, best] = [1.0, 0.0]
-    if n_c > 1:
-        rows = np.nonzero(no_irr)[0]
-        worst = logits.data[rows, :, 0].argmin(axis=-1)
-        patched[rows, worst] = [0.0, 1.0]
-    return ad._make(patched, (ind,), lambda g: (g,))
-
-
-def _indicator(f_m_c, f_q, store, config, noise) -> tuple[Tensor, Tensor]:
-    """Hard straight-through indicator [B, n_c, 2] plus its logits."""
-    logits = aligner.clip_scores(f_m_c, f_q, store, config.heads)
-    ind = ad.gumbel_softmax(logits, temperature=config.temperature,
-                            hard=True, noise=noise)
-    return _force_nonempty_rows(ind, logits), logits
 
 
 def _clip_gradients(store: ParamStore, max_norm: float) -> None:
@@ -245,27 +189,14 @@ def _clip_gradients(store: ParamStore, max_norm: float) -> None:
                 t.grad *= scale
 
 
-def _gumbel_noise(rng, shape) -> np.ndarray:
-    u = rng.uniform(low=np.finfo(float).tiny, high=1.0, size=shape)
-    return -np.log(-np.log(u))
-
-
-def _softplus_mean(x: Tensor) -> Tensor:
-    """Numerically stable mean softplus over a batch vector."""
-    sign = np.where(x.data >= 0, 1.0, -1.0)
-    absx = ad.mul(x, sign)
-    soft = ad.add(ad.relu(x),
-                  ad.log(ad.add(ad.exp(ad.mul(absx, -1.0)), 1.0)))
-    return ad.reduce_mean(soft)
-
-
 def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
-                   config: RunConfig, rng=None, noise=None):
+                   config: RunConfig, rng, noise=None):
     """Gated loss terms on a batch of whole clusters.
 
     Returns (terms dict, total Tensor, per-cluster answer dists map).
-    Terms that are gated off are never computed and never consume
-    randomness, so a reduced model is reproduced bit-identically.
+    `rng` draws the Gumbel noise (unless `noise` is given) and the triplet
+    samples.  Terms that are gated off are never computed and never
+    consume randomness, so a reduced model is reproduced bit-identically.
     """
     batch_clusters = [pack.clusters[i] for i in cluster_ids]
     rows = np.concatenate([
@@ -281,35 +212,16 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
     terms = {}
 
     if config.use_aligner:
-        f_o_np, f_a_np, f_m_np = (pack.f_o[rows], pack.f_a[rows],
-                                  pack.f_m[rows])
-        f_m_c, clips = _clip_pipeline(Tensor(f_o_np), Tensor(f_a_np),
-                                      Tensor(f_m_np), f_q, store, config)
-        if noise is None:
-            noise = _gumbel_noise(rng, f_m_c.shape[:-1] + (2,))
-        ind, _ = _indicator(f_m_c, f_q, store, config, noise)
+        f_m_c, clips = aligner.clip_pipeline(
+            Tensor(pack.f_o[rows]), Tensor(pack.f_a[rows]),
+            Tensor(pack.f_m[rows]), f_q, store, config.heads)
+        ind, _ = aligner.hard_indicator(f_m_c, f_q, store, config.heads,
+                                        config.temperature, rng, noise)
         w_rel = ad.getitem(ind, (slice(None), slice(None), 0))
         joint = aligner.backbone_joint(clips, f_q, store, clip_weights=w_rel)
         if config.use_contrastive:
-            # per-clip question alignment: every clip the indicator marks
-            # relevant must score positively against its question anchor,
-            # every marked-irrelevant clip negatively.  Anchoring on the
-            # question keeps the loss sensitive to WHICH clips are
-            # selected, and the per-clip form makes each genuinely
-            # question-correlated clip pull toward inclusion, so partial
-            # selections cannot satisfy the loss the way they can with
-            # pooled views.
-            q_anchor = ad.linear(ad.reduce_mean(f_q, axis=-2),
-                                 *store.layer("al.q_anchor"))  # [B, h_v]
-            b = q_anchor.shape[0]
-            s = ad.reduce_sum(
-                ad.mul(ad.reshape(q_anchor, (b, 1, q_anchor.shape[-1])),
-                       clips),
-                axis=-1,
-            )  # [B, n_c]
-            w_irr = ad.getitem(ind, (slice(None), slice(None), 1))
-            sign = ad.add(w_irr, ad.mul(w_rel, -1.0))
-            terms["contrastive"] = _softplus_mean(ad.mul(s, sign))
+            terms["contrastive"] = aligner.anchor_contrastive(
+                f_q, clips, ind, w_rel, store)
     else:
         joint = aligner.backbone_joint(Tensor(pack.f_m[rows]), f_q, store)
 
@@ -377,11 +289,13 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
         for lo in range(0, pack.n_nodes, EVAL_BLOCK):
             rows = slice(lo, lo + EVAL_BLOCK)
             f_q_blk = Tensor(pack.f_q[rows])
-            f_m_c, clips_blk = _clip_pipeline(
+            f_m_c, clips_blk = aligner.clip_pipeline(
                 Tensor(pack.f_o[rows]), Tensor(pack.f_a[rows]),
-                Tensor(pack.f_m[rows]), f_q_blk, store, config)
+                Tensor(pack.f_m[rows]), f_q_blk, store, config.heads)
             zero = np.zeros(f_m_c.shape[:-1] + (2,))
-            ind_blk, _ = _indicator(f_m_c, f_q_blk, store, config, zero)
+            ind_blk, _ = aligner.hard_indicator(
+                f_m_c, f_q_blk, store, config.heads, config.temperature,
+                noise=zero)
             clips.append(clips_blk.data)
             ind.append(ind_blk.data)
         w_rel = np.concatenate(ind)[:, :, 0]
@@ -418,12 +332,16 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
 
 
 def _check_dims(store: ParamStore, config: RunConfig):
-    sc = config.synthetic
-    expect = (sc.h_v + sc.h_q, config.h)
-    if store["bb.l1.w"].shape != expect:
-        raise ShapeError(
-            f"checkpoint width {store['bb.l1.w'].shape} != {expect}"
-        )
+    """Every parameter the config's model reads must be in the store with
+    the shape init_params gives it; extra parameters are allowed."""
+    for name, want in init_params(config).params.items():
+        if name not in store:
+            raise ShapeError(f"checkpoint has no parameter {name!r}")
+        if store[name].shape != want.shape:
+            raise ShapeError(
+                f"checkpoint parameter {name!r} has shape "
+                f"{store[name].shape}, expected {want.shape}"
+            )
 
 
 def evaluate(store: ParamStore, config: RunConfig, pack: PackedSplit,

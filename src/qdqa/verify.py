@@ -18,13 +18,6 @@ from .train import RunConfig, forward_losses, init_params, pack_split
 TOLERANCE = 1e-4
 
 
-def _functional(out: Tensor, rng) -> Tensor:
-    """Random linear readout; avoids degenerate self-products after
-    normalization layers."""
-    w = Tensor(rng.normal(size=out.shape))
-    return ad.reduce_sum(ad.mul(out, w))
-
-
 def _pick(store: ParamStore, names, k, rng):
     names = sorted(n for n in names if n in store)
     idx = rng.choice(len(names), size=min(k, len(names)), replace=False)
@@ -123,14 +116,21 @@ def check_hierarchy(seed: int) -> float:
 
 
 def check_contrastive(seed: int) -> float:
+    """The question-anchor alignment loss over a soft indicator."""
     rng = np.random.default_rng([seed, 3])
-    a = Tensor(rng.normal(size=6), requires_grad=True)
-    p = Tensor(rng.normal(size=6), requires_grad=True)
-    n = Tensor(rng.normal(size=6), requires_grad=True)
-    return ad.grad_check(
-        lambda inputs: aligner.alignment_contrastive_loss(*inputs),
-        [a, p, n],
-    )
+    h, b, n_c, n_q = 4, 2, 3, 2
+    store = ParamStore(seed=seed)
+    aligner.init_aligner_params(store, h, heads=2)
+    f_q = Tensor(rng.normal(size=(b, n_q, h)))
+    clips = Tensor(rng.normal(size=(b, n_c, h)))
+    ind = Tensor(rng.uniform(size=(b, n_c, 2)))
+
+    def fn(inputs):
+        fq, cl, ind_t = inputs[:3]
+        w_rel = ad.getitem(ind_t, (slice(None), slice(None), 0))
+        return aligner.anchor_contrastive(fq, cl, ind_t, w_rel, store)
+
+    return ad.grad_check(fn, [f_q, clips, ind, store["al.q_anchor.w"]])
 
 
 def _toy_graph():
@@ -240,14 +240,12 @@ def check_total_losses(seed: int) -> float:
     store = init_params(config)
     rng = np.random.default_rng([seed, 7])
     noise = np.zeros((pack.n_nodes, config.synthetic.n_c, 2))
-    # al.mlp_rel.* is deliberately absent: perturbing the relevance score
-    # can flip the clip-replacement mask, a real discontinuity in view
-    # construction; its smooth gradient path is checked on its own with
-    # frozen views.
+    # a soft sample never leaves a row without relevant or irrelevant
+    # mass, so no row is patched and the relevance scores are smooth too
     names = _pick(
         store,
-        ["al.proj_m.w", "al.q_anchor.w", "bb.l1.w", "al.head.w",
-         "ag.head.w", "ag.l0.ws.w", "ag.edge.w"],
+        ["al.proj_m.w", "al.mlp_rel.2.w", "al.q_anchor.w", "bb.l1.w",
+         "al.head.w", "ag.head.w", "ag.l0.ws.w", "ag.edge.w"],
         4, rng,
     )
     params = [store[n] for n in names]

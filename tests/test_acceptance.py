@@ -119,11 +119,17 @@ def test_04_normalization_invariants():
 
 
 def test_05_closed_form_losses():
-    # contrastive at equal similarities
+    # alignment loss at zero anchor weights: every similarity is 0
     rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=8))
-    b = Tensor(rng.normal(size=8))
-    contrastive = aligner.alignment_contrastive_loss(a, b, b).data.item()
+    store = ParamStore(seed=0)
+    aligner.init_aligner_params(store, 8, heads=2)
+    store["al.q_anchor.w"].data[:] = 0.0
+    ind = Tensor(rng.uniform(size=(2, 3, 2)))
+    f_q = Tensor(rng.normal(size=(2, 4, 8)))
+    clips = Tensor(rng.normal(size=(2, 3, 8)))
+    w_rel = ad.getitem(ind, (slice(None), slice(None), 0))
+    contrastive = aligner.anchor_contrastive(f_q, clips, ind, w_rel,
+                                             store).data.item()
     err_c = abs(contrastive - math.log(2.0))
 
     # CE at uniform logits

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qdqa import aligner, autodiff as ad
-from qdqa.aligner import ClipIndicator, VideoFeatures
+from qdqa import aligner, autodiff as ad, train as tr
+from qdqa.aligner import VideoFeatures
 from qdqa.autodiff import ParamStore, Tensor
+from qdqa.synth import SyntheticConfig, generate_instance
 
 H = 8
 HEADS = 2
@@ -27,6 +28,24 @@ def make_video(rng, n_c=3, n_f=2, n_o=2):
 
 def make_question(rng, n_q=3):
     return Tensor(rng.normal(size=(n_q, H)))
+
+
+def make_batch(rng, b=3, n_c=3, n_f=2, n_o=2, n_q=3):
+    """f_o, f_a, f_m, f_q of b videos stacked on a leading axis."""
+    return tuple(Tensor(rng.normal(size=shape)) for shape in (
+        (b, n_c, n_f, n_o, H), (b, n_c, n_f, H), (b, n_c, H), (b, n_q, H)))
+
+
+def soft_gumbel(monkeypatch):
+    """Swap the straight-through sample for the soft one (same backward
+    path), so the objective is smooth enough for finite differences."""
+    sample = ad.gumbel_softmax
+
+    def soft(logits, temperature=1.0, hard=False, rng=None, noise=None):
+        return sample(logits, temperature=temperature, hard=False, rng=rng,
+                      noise=noise)
+
+    monkeypatch.setattr(ad, "gumbel_softmax", soft)
 
 
 class TestObjectAggregation:
@@ -134,225 +153,252 @@ class TestFrameAggregation:
             np.testing.assert_allclose(out.data[c, :H], pooled, atol=1e-10)
 
 
-class TestClipIndicator:
-    def run_indicator(self, store, v, q, **kw):
-        obj = aligner.aggregate_objects(
-            Tensor(v.f_o), Tensor(v.f_a), q, store, HEADS
-        )
-        f_m_c = aligner.aggregate_frames(obj, Tensor(v.f_m), q, store, HEADS)
-        return aligner.clip_indicator(f_m_c, q, store, heads=HEADS, **kw), f_m_c
-
-    def test_rows_sum_to_one(self):
+class TestClipPipeline:
+    def test_matches_per_video_stages(self):
+        # the zero-stride question views give each video its own tokens
         rng = np.random.default_rng(6)
         store = make_store()
-        ind, _ = self.run_indicator(store, make_video(rng),
-                                    make_question(rng), rng=rng)
-        np.testing.assert_allclose(ind.indicator.data.sum(axis=-1), 1.0,
-                                   atol=1e-12)
+        f_o, f_a, f_m, f_q = make_batch(rng)
+        f_m_c, clips = aligner.clip_pipeline(f_o, f_a, f_m, f_q, store,
+                                             HEADS)
+        assert f_m_c.shape == (3, 3, 2 * H) and clips.shape == (3, 3, H)
+        for i in range(3):
+            q = Tensor(f_q.data[i])
+            obj = aligner.aggregate_objects(
+                Tensor(f_o.data[i]), Tensor(f_a.data[i]), q, store, HEADS)
+            one = aligner.aggregate_frames(obj, Tensor(f_m.data[i]), q,
+                                           store, HEADS)
+            np.testing.assert_allclose(f_m_c.data[i], one.data, atol=1e-12)
+            proj = one.data @ store["al.proj_m.w"].data \
+                + store["al.proj_m.b"].data
+            np.testing.assert_allclose(clips.data[i], proj, atol=1e-12)
 
-    def test_saturated_logits_keep_one_irrelevant(self):
-        # Bias the relevance MLP head to +30 and the irrelevance head to
-        # -30; the indicator wants every clip relevant, but one clip (the
-        # lowest relevance logit) is forced out so the contrastive views
-        # never degenerate.
+
+class TestClipIndicator:
+    def run_indicator(self, store, batch, noise):
+        f_o, f_a, f_m, f_q = batch
+        f_m_c, _ = aligner.clip_pipeline(f_o, f_a, f_m, f_q, store, HEADS)
+        return aligner.hard_indicator(f_m_c, f_q, store, HEADS, 1.0,
+                                      noise=noise)
+
+    def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         store = make_store()
-        store["al.mlp_rel.2.b"].data = np.array([30.0])
-        store["al.mlp_irr.2.b"].data = np.array([-30.0])
-        v = make_video(rng)
-        ind, _ = self.run_indicator(
-            store, v, make_question(rng), hard=True,
-            noise=np.zeros((v.n_clips, 2)),
-        )
-        assert len(ind.relevant_set) == v.n_clips - 1
-        assert len(ind.irrelevant_set) == 1
+        ind, _ = self.run_indicator(store, make_batch(rng),
+                                    rng.gumbel(size=(3, 3, 2)))
+        np.testing.assert_allclose(ind.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_hard_partition(self):
         rng = np.random.default_rng(8)
         store = make_store()
-        v = make_video(rng, n_c=5)
-        ind, _ = self.run_indicator(store, v, make_question(rng), hard=True,
-                                    rng=rng)
-        assert sorted(ind.relevant_set + ind.irrelevant_set) == list(range(5))
-        assert ind.relevant_set  # forced non-empty
+        ind, _ = self.run_indicator(store, make_batch(rng, n_c=5),
+                                    rng.gumbel(size=(3, 5, 2)))
+        picks = ind.data.round(12)
+        assert set(picks.ravel()) <= {0.0, 1.0}
+        # every clip on exactly one side, both sides non-empty in every row
+        assert (picks.sum(axis=-1) == 1).all()
+        assert (picks.sum(axis=-2) >= 1).all()
+
+    def test_saturated_logits_keep_one_irrelevant(self):
+        # Bias the relevance MLP head to +30 and the irrelevance head to
+        # -30; the indicator wants every clip relevant, but in every row
+        # the clip with the lowest relevance logit is forced out, so the
+        # alignment loss has no trivial zero.
+        rng = np.random.default_rng(8)
+        store = make_store()
+        store["al.mlp_rel.2.b"].data = np.array([30.0])
+        store["al.mlp_irr.2.b"].data = np.array([-30.0])
+        ind, logits = self.run_indicator(store, make_batch(rng),
+                                         np.zeros((3, 3, 2)))
+        worst = logits.data[..., 0].argmin(axis=-1)
+        expect = np.zeros((3, 3, 2))
+        expect[..., 0] = 1.0
+        expect[np.arange(3), worst] = [0.0, 1.0]
+        np.testing.assert_array_equal(ind.data.round(12), expect)
 
     def test_forced_nonempty_relevant(self):
         rng = np.random.default_rng(9)
         store = make_store()
         store["al.mlp_rel.2.b"].data = np.array([-30.0])
         store["al.mlp_irr.2.b"].data = np.array([30.0])
-        v = make_video(rng)
-        ind, _ = self.run_indicator(
-            store, v, make_question(rng), hard=True,
-            noise=np.zeros((v.n_clips, 2)),
-        )
-        assert len(ind.relevant_set) == 1
+        ind, logits = self.run_indicator(store, make_batch(rng),
+                                         np.zeros((3, 3, 2)))
+        best = logits.data[..., 0].argmax(axis=-1)
+        expect = np.zeros((3, 3, 2))
+        expect[..., 1] = 1.0
+        expect[np.arange(3), best] = [1.0, 0.0]
+        np.testing.assert_array_equal(ind.data.round(12), expect)
 
-    def test_soft_indicator_gradient(self):
+    def test_patches_only_degenerate_rows(self):
+        # row 0 all irrelevant, row 1 all relevant, row 2 mixed: only the
+        # first two are patched, at their argmax and argmin relevance clip
         rng = np.random.default_rng(10)
         store = make_store()
-        v = make_video(rng, n_c=2)
-        q = make_question(rng)
-        frozen = rng.gumbel(size=(2, 2))
-        weight = rng.normal(size=(2, 2))
+        noise = np.zeros((3, 4, 2))
+        noise[0, :, 1] = 50.0
+        noise[1, :, 0] = 50.0
+        noise[2, [0, 3], 0] = 50.0
+        noise[2, [1, 2], 1] = 50.0
+        ind, logits = self.run_indicator(store, make_batch(rng, n_c=4),
+                                         noise)
+        raw = ad.gumbel_softmax(logits, hard=True, noise=noise).data
+        rel = logits.data[..., 0]
+        expect = raw.round(12)
+        expect[0, rel[0].argmax()] = [1.0, 0.0]
+        expect[1, rel[1].argmin()] = [0.0, 1.0]
+        np.testing.assert_array_equal(ind.data.round(12), expect)
+        np.testing.assert_array_equal(expect[2, :, 0], [1, 0, 0, 1])
+        assert (np.abs(ind.data - raw) > 0.5).sum(axis=(1, 2)).tolist() \
+            == [2, 2, 0]
+
+    def test_single_clip_rows(self):
+        # with one clip a row cannot hold both sets: an all-irrelevant row
+        # is flipped to relevant, an all-relevant row is left alone
+        rng = np.random.default_rng(11)
+        store = make_store()
+        noise = np.zeros((2, 1, 2))
+        noise[0, 0, 1] = 50.0
+        noise[1, 0, 0] = 50.0
+        ind, _ = self.run_indicator(store, make_batch(rng, b=2, n_c=1),
+                                    noise)
+        np.testing.assert_array_equal(ind.data.round(12),
+                                      [[[1.0, 0.0]], [[1.0, 0.0]]])
+
+    def test_soft_indicator_gradient(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        store = make_store()
+        _, f_a, f_m, f_q = make_batch(rng, b=2, n_c=2)
+        frozen = rng.gumbel(size=(2, 2, 2))
+        weight = rng.normal(size=(2, 2, 2))
+        soft_gumbel(monkeypatch)
 
         def f(ts):
-            obj = aligner.aggregate_objects(ts[0], Tensor(v.f_a), q, store,
-                                            HEADS)
-            f_m_c = aligner.aggregate_frames(obj, Tensor(v.f_m), q, store,
+            f_m_c, _ = aligner.clip_pipeline(ts[0], f_a, f_m, f_q, store,
                                              HEADS)
-            ind = aligner.clip_indicator(f_m_c, q, store, noise=frozen,
-                                         heads=HEADS)
-            return (ind.indicator * weight).sum()
+            ind, _ = aligner.hard_indicator(f_m_c, f_q, store, HEADS, 1.0,
+                                            noise=frozen)
+            return (ind * weight).sum()
 
-        x = Tensor(v.f_o, requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 2, 2, 2, H)), requires_grad=True)
         assert ad.grad_check(f, [x]) < 1e-4
 
 
-class TestBuildViews:
-    def hard_ind(self, relevant, n_c):
-        data = np.zeros((n_c, 2))
-        rel = set(relevant)
-        for c in range(n_c):
-            data[c, 0 if c in rel else 1] = 1.0
-        return ClipIndicator(
-            Tensor(data),
-            sorted(rel),
-            [c for c in range(n_c) if c not in rel],
-        )
+def anchor_inputs(rng, b=2, n_c=3, n_q=3):
+    f_q = Tensor(rng.normal(size=(b, n_q, H)))
+    clips = Tensor(rng.normal(size=(b, n_c, H)))
+    ind = Tensor(rng.uniform(size=(b, n_c, 2)))
+    return f_q, clips, ind
 
-    def test_all_relevant_keeps_video(self):
-        rng = np.random.default_rng(11)
-        v = make_video(rng)
-        v_r, v_c, v_p = aligner.build_views(
-            v, self.hard_ind([0, 1, 2], 3), [], rng
-        )
-        assert v_c is None
-        np.testing.assert_array_equal(v_p.f_o, v.f_o)
-        np.testing.assert_array_equal(v_r.f_m, v.f_m)
 
-    def test_single_replacement(self):
-        rng = np.random.default_rng(12)
-        v = make_video(rng)
-        pool = [make_video(rng)]
-        v_r, v_c, v_p = aligner.build_views(
-            v, self.hard_ind([0, 1], 3), pool, rng
-        )
-        assert v_r.n_clips == 2 and v_c.n_clips == 1
-        # exactly one clip slot differs, at all three levels
-        diff = [c for c in range(3) if not np.array_equal(v_p.f_m[c], v.f_m[c])]
-        assert diff == [2]
-        assert not np.array_equal(v_p.f_o[2], v.f_o[2])
-        assert not np.array_equal(v_p.f_a[2], v.f_a[2])
-
-    def test_seeded_rng_reproducible(self):
-        base = np.random.default_rng(13)
-        v = make_video(base)
-        pool = [make_video(base), make_video(base)]
-        ind = self.hard_ind([0], 3)
-        out1 = aligner.build_views(v, ind, pool, np.random.default_rng(5))
-        out2 = aligner.build_views(v, ind, pool, np.random.default_rng(5))
-        np.testing.assert_array_equal(out1[2].f_m, out2[2].f_m)
-
-    def test_empty_relevant_raises(self):
-        rng = np.random.default_rng(14)
-        v = make_video(rng)
-        with pytest.raises(aligner.EmptyRelevantError):
-            aligner.build_views(v, self.hard_ind([], 3), [make_video(rng)],
-                                rng)
-
-    def test_empty_pool_raises(self):
-        rng = np.random.default_rng(15)
-        v = make_video(rng)
-        with pytest.raises(aligner.EmptyPoolError):
-            aligner.build_views(v, self.hard_ind([0], 3), [], rng)
+def anchor_loss(store, f_q, clips, ind):
+    w_rel = ad.getitem(ind, (slice(None), slice(None), 0))
+    return aligner.anchor_contrastive(f_q, clips, ind, w_rel, store)
 
 
 class TestContrastiveLoss:
     def test_symmetric_case_is_ln2(self):
-        a = Tensor(np.array([1.0, 0.0, 0.0]))
-        p = Tensor(np.array([0.0, 1.0, 0.0]))
-        n = Tensor(np.array([0.0, 0.0, 1.0]))
-        loss = aligner.alignment_contrastive_loss(a, p, n)
+        # zero anchor weights make every similarity 0, so every clip
+        # contributes softplus(0)
+        rng = np.random.default_rng(13)
+        store = make_store()
+        store["al.q_anchor.w"].data[:] = 0.0
+        loss = anchor_loss(store, *anchor_inputs(rng))
         assert loss.item() == pytest.approx(np.log(2), abs=1e-12)
 
     def test_saturated_case(self):
-        a = Tensor(np.array([1.0, 0.0]))
-        p = Tensor(np.array([40.0, 0.0]))
-        n = Tensor(np.array([0.0, 0.0]))
-        assert aligner.alignment_contrastive_loss(a, p, n).item() < 1e-9
+        # relevant clips aligned with the anchor, irrelevant ones opposed
+        rng = np.random.default_rng(14)
+        store = make_store()
+        store["al.q_anchor.w"].data = np.eye(H)
+        u = rng.normal(size=H)
+        f_q = Tensor(np.broadcast_to(u, (2, 3, H)).copy())
+        ind = np.zeros((2, 3, 2))
+        ind[:, [0, 2], 0] = 1.0
+        ind[:, 1, 1] = 1.0
+        sign = np.where(ind[..., 0] > 0, 1.0, -1.0)
+        clips = Tensor(40.0 * sign[..., None] * u / (u @ u))
+        assert anchor_loss(store, f_q, clips, Tensor(ind)).item() < 1e-9
 
     def test_matches_unstabilized_formula(self):
-        rng = np.random.default_rng(16)
-        a, p, n = (Tensor(rng.normal(size=8)) for _ in range(3))
-        loss = aligner.alignment_contrastive_loss(a, p, n)
-        sp = float(a.data @ p.data)
-        sn = float(a.data @ n.data)
-        ref = -np.log(np.exp(sp) / (np.exp(sp) + np.exp(sn)))
-        assert loss.item() == pytest.approx(ref, abs=1e-12)
+        rng = np.random.default_rng(15)
+        store = make_store()
+        f_q, clips, ind = anchor_inputs(rng)
+        loss = anchor_loss(store, f_q, clips, ind)
+        anchor = f_q.data.mean(axis=1) @ store["al.q_anchor.w"].data \
+            + store["al.q_anchor.b"].data
+        s = (anchor[:, None, :] * clips.data).sum(axis=-1)
+        x = s * (ind.data[..., 1] - ind.data[..., 0])
+        assert loss.item() == pytest.approx(np.log1p(np.exp(x)).mean(),
+                                            abs=1e-12)
 
     def test_width_mismatch(self):
+        rng = np.random.default_rng(16)
+        store = make_store()
+        f_q, _, ind = anchor_inputs(rng)
         with pytest.raises(ad.ShapeError):
-            aligner.alignment_contrastive_loss(
-                Tensor(np.zeros(3)), Tensor(np.zeros(3)), Tensor(np.zeros(4))
-            )
+            anchor_loss(store, f_q, Tensor(np.zeros((2, 3, 1))), ind)
 
     @pytest.mark.parametrize("seed", [20, 21, 22])
     def test_gradient(self, seed):
         rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=6), requires_grad=True)
-        p = Tensor(rng.normal(size=6), requires_grad=True)
-        n = Tensor(rng.normal(size=6), requires_grad=True)
-        err = ad.grad_check(
-            lambda ts: aligner.alignment_contrastive_loss(*ts), [a, p, n]
-        )
+        store = make_store()
+        inputs = list(anchor_inputs(rng)) + [store["al.q_anchor.w"]]
+        err = ad.grad_check(lambda ts: anchor_loss(store, *ts[:3]), inputs)
         assert err < 1e-6
+
+
+def objective_setup(row, seed):
+    """A two-cluster pack and fresh parameters for one ablation row."""
+    sc = SyntheticConfig(clusters=2, n_c=3, n_f=2, n_o=2, h_v=H, h_q=H,
+                         n_q=2, seed=seed)
+    cfg = tr.RunConfig(synthetic=sc, h=H, heads=HEADS, layers=2, seed=seed,
+                       steps=1, **dict(tr.ABLATION_ROWS)[row])
+    pack = tr.pack_split([generate_instance(sc, i) for i in range(2)],
+                         sc.vocab_index)
+    return cfg, pack, tr.init_params(cfg)
 
 
 class TestAnswerAndLoss:
     def test_distribution_sums_to_one(self):
-        rng = np.random.default_rng(17)
-        store = make_store()
-        v = make_video(rng)
-        dist, loss = aligner.aligner_answer_and_loss(
-            v, make_question(rng), 2, store, rng, [make_video(rng)],
-            heads=HEADS,
-        )
-        assert dist.data.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.isfinite(loss.item())
+        cfg, pack, store = objective_setup("aligner", 0)
+        terms, total, dists = tr.forward_losses(
+            pack, [0, 1], store, cfg, np.random.default_rng(17))
+        assert set(terms) == {"answer_ce", "contrastive"}
+        assert np.isfinite(total.item())
+        for d in dists.values():
+            assert d.data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_head_gives_uniform_and_ln_vocab_ce(self):
-        rng = np.random.default_rng(18)
-        store = make_store(vocab=5)
+        cfg, pack, store = objective_setup("aligner", 1)
         store["al.head.w"].data[:] = 0.0
         store["al.head.b"].data[:] = 0.0
-        v = make_video(rng)
-        dist, loss = aligner.aligner_answer_and_loss(
-            v, make_question(rng), 0, store, rng, [make_video(rng)],
-            heads=HEADS,
-        )
-        np.testing.assert_allclose(dist.data, 0.2, atol=1e-12)
-        # total loss = ln 5 + contrastive part
-        assert loss.item() >= np.log(5) - 1e-9
+        terms, total, dists = tr.forward_losses(
+            pack, [0, 1], store, cfg, np.random.default_rng(18))
+        vocab = len(cfg.synthetic.vocab)
+        for d in dists.values():
+            np.testing.assert_allclose(d.data, 1.0 / vocab, atol=1e-12)
+        assert terms["answer_ce"].item() == pytest.approx(np.log(vocab),
+                                                          abs=1e-12)
+        # total = ln |vocab| + the (non-negative) alignment term
+        assert total.item() >= np.log(vocab) - 1e-9
 
     @pytest.mark.parametrize("seed", [30, 31, 32])
-    def test_full_loss_gradient(self, seed):
-        # 2-clip instance, frozen gumbel noise, checked against finite
-        # differences through the whole aligner stack.
-        rng = np.random.default_rng(seed)
-        store = make_store()
-        v = make_video(rng, n_c=2)
-        q = make_question(rng)
-        pool = [make_video(rng, n_c=2)]
-        frozen = rng.gumbel(size=(2, 2))
+    def test_full_loss_gradient(self, monkeypatch, seed):
+        # soft Gumbel with frozen noise, checked against finite differences
+        # through the whole trained objective of the aligner and full rows
+        soft_gumbel(monkeypatch)
+        for row in ("aligner", "full"):
+            cfg, pack, store = objective_setup(row, seed)
+            noise = np.random.default_rng(seed).gumbel(
+                size=(pack.n_nodes, cfg.synthetic.n_c, 2))
 
-        def f_param(ts):
-            view_rng = np.random.default_rng(seed)
-            _, loss = aligner.aligner_answer_and_loss(
-                v, q, 1, store, view_rng, pool, heads=HEADS, noise=frozen,
-                hard=False,
-            )
-            return loss
+            def f_param(ts):
+                _, total, _ = tr.forward_losses(
+                    pack, [0, 1], store, cfg,
+                    np.random.default_rng([seed, 8]), noise=noise)
+                return total
 
-        for name in ("al.proj_m.w", "al.mlp_rel.2.w", "bb.l1.w", "al.head.w"):
-            assert ad.grad_check(f_param, [store[name]]) < 1e-4
+            for name in ("al.proj_m.w", "al.mlp_rel.2.w", "al.q_anchor.w",
+                         "bb.l1.w", "al.head.w"):
+                err = ad.grad_check(f_param, [store[name]])
+                assert err < 1e-4, (row, name)

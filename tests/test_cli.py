@@ -210,6 +210,24 @@ def test_eval_repeated_answer_id_exits_1(tmp_path, which):
     assert "repeats line 1" in payload["message"]
 
 
+@pytest.mark.parametrize("which", ["gold", "pred"])
+def test_eval_unknown_answer_id_exits_1(tmp_path, which):
+    files = dict(zip(("graphs", "gold", "pred"), write_row1_fixture(tmp_path)))
+    files[which].write_text(files[which].read_text() + json.dumps(
+        {"id": "nowhere", "answer": "yes"}) + "\n")
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(files["graphs"]), "--gold",
+        str(files["gold"]), "--pred", str(files["pred"]),
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "ValueError"
+    assert "'nowhere'" in payload["message"]
+    assert f"{which}.jsonl" in payload["message"]
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_eval_node_id_in_two_graphs_exits_1(tmp_path):
     gpath, gold, pred = write_row1_fixture(tmp_path)
     first = json.loads(gpath.read_text().split("\n", 1)[0])

@@ -294,14 +294,14 @@ def test_relevance_tally_matches_set_loop(monkeypatch):
     store = init_params(cfg)
     _, val_pack, _ = packs_for(cfg)
     blocks = []
-    indicator = tr._indicator
+    indicator = tr.aligner.hard_indicator
 
     def recording_indicator(*args, **kwargs):
         out = indicator(*args, **kwargs)
         blocks.append(out[0].data)
         return out
 
-    monkeypatch.setattr(tr, "_indicator", recording_indicator)
+    monkeypatch.setattr(tr.aligner, "hard_indicator", recording_indicator)
     monkeypatch.setattr(tr, "EVAL_BLOCK", 4)
     _, relevance = predict_split(store, cfg, val_pack)
     ind = np.concatenate(blocks)
@@ -407,6 +407,37 @@ def test_checkpoint_dim_mismatch_raises():
     with pytest.raises(ShapeError):
         predict_split(init_params(narrow), cfg, val_pack)
     del store
+
+
+def test_checkpoint_of_another_row_raises():
+    # an aggregator-row store lacks every al.* parameter of the full model
+    cfg = tiny_config()
+    _, val_pack, _ = packs_for(cfg)
+    other = init_params(tiny_config(**dict(tr.ABLATION_ROWS)["aggregator"]))
+    with pytest.raises(ShapeError, match="'al.obj_tf.wq.w'"):
+        predict_split(other, cfg, val_pack)
+
+
+def test_checkpoint_shape_mismatch_names_the_parameter():
+    cfg = tiny_config()
+    _, val_pack, _ = packs_for(cfg)
+    store = init_params(cfg)
+    store.params["ag.head.w"] = Tensor(np.zeros((3, 3)))
+    store.params["extra"] = Tensor(np.zeros(2))  # extra names are fine
+    with pytest.raises(ShapeError, match="'ag.head.w'"):
+        predict_split(store, cfg, val_pack)
+    del store.params["ag.head.w"]
+    with pytest.raises(ShapeError, match="no parameter 'ag.head.w'"):
+        predict_split(store, cfg, val_pack)
+
+
+def test_checkpoint_with_extra_parameters_evaluates():
+    cfg = tiny_config()
+    _, val_pack, _ = packs_for(cfg)
+    store = init_params(cfg)
+    expect = predict_split(store, cfg, val_pack)
+    store.params["extra"] = Tensor(np.zeros(2))
+    assert predict_split(store, cfg, val_pack) == expect
 
 
 def test_ablation_configs_share_seed_and_data():
