@@ -19,14 +19,14 @@ MASK_OFF = -1e9
 
 
 def init_aggregator_params(store: ParamStore, h: int, layers: int,
-                           vocab_size: int, edge_dim: int | None = None):
+                           vocab_size: int):
     for k in range(layers):
         store.add(f"ag.l{k}.a", (h,))
         store.linear(f"ag.l{k}.ws", 2 * h, h)
         store.linear(f"ag.l{k}.wg", h, h)
     store.linear("ag.head", layers * h, vocab_size)
     # edge vectors are built from the head features f^a (vocab width)
-    store.linear("ag.edge", 2 * vocab_size, edge_dim or h)
+    store.linear("ag.edge", 2 * vocab_size, h)
 
 
 def _neighbor_mask(g: QDG, order: list[str]) -> np.ndarray:
@@ -81,14 +81,11 @@ def gat_forward(node_features: dict, g: QDG, store: ParamStore,
 
 def predict_answers(order: list[str], layer_outputs: list[Tensor],
                     store: ParamStore):
-    """Concat per-layer features into the head; returns (logits, dists) as
-    maps node id -> Tensor.  Logits are also the edge-feature inputs."""
+    """Concat per-layer features into the head; returns the logits as a map
+    node id -> Tensor.  Logits are also the edge-feature inputs."""
     stacked = ad.concat(layer_outputs, axis=-1)  # [n, K*h]
     head = ad.linear(stacked, *store.layer("ag.head"))
-    dists = ad.softmax(head, axis=-1)
-    logits = {nid: ad.getitem(head, i) for i, nid in enumerate(order)}
-    dist_map = {nid: ad.getitem(dists, i) for i, nid in enumerate(order)}
-    return logits, dist_map
+    return {nid: ad.getitem(head, i) for i, nid in enumerate(order)}
 
 
 def edge_representations(graphs_and_features, store: ParamStore):

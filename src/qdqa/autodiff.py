@@ -485,14 +485,15 @@ def gumbel_softmax(logits, temperature=1.0, hard=False, rng=None, noise=None) ->
     """Gumbel-softmax over the last axis, optionally straight-through hard.
 
     `noise` overrides sampling (tests freeze it at 0); otherwise standard
-    Gumbel(0,1) draws from `rng`.
+    Gumbel(0,1) draws from `rng`.  One of the two is required, so no
+    sample is ever drawn from an unseeded generator.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    if rng is None and noise is None:
+        raise ValueError("gumbel_softmax needs rng or noise")
     logits = _as_tensor(logits)
     if noise is None:
-        if rng is None:
-            rng = np.random.default_rng()
         u = rng.uniform(low=np.finfo(float).tiny, high=1.0,
                         size=logits.shape)
         noise = -np.log(-np.log(u))

@@ -76,9 +76,6 @@ class QDG:
         (root_id,) = indeg
         return self._by_id[root_id]
 
-    def children(self, node_id: str) -> list[str]:
-        return sorted(e.child for e in self.edges if e.parent == node_id)
-
 
 @dataclass(frozen=True)
 class QuestionCluster:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -69,7 +69,28 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+        """A config from JSON; a document that is not an object, an unknown
+        key or a value of the wrong type raises ConfigError naming it."""
+        return cls(**_checked(cls(), json.loads(text), "config"))
+
+
+def _checked(default, raw, path: str):
+    """`raw`, parsed from JSON at key path `path`, checked against
+    `default`: key by key where the default is a dataclass, else by type."""
+    if is_dataclass(default):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path} must be a JSON object")
+        unknown = sorted(raw.keys() - {f.name for f in fields(default)})
+        if unknown:
+            raise ConfigError(f"unknown config key {path}.{unknown[0]}")
+        return {key: _checked(getattr(default, key), value, f"{path}.{key}")
+                for key, value in raw.items()}
+    kind = (int, float) if type(default) is float else type(default)
+    if isinstance(raw, bool) != isinstance(default, bool) or \
+            not isinstance(raw, kind):
+        raise ConfigError(f"{path} must be {type(default).__name__}, got "
+                          f"{type(raw).__name__}")
+    return raw
 
 
 @dataclass
@@ -189,62 +210,86 @@ def _clip_gradients(store: ParamStore, max_norm: float) -> None:
                 t.grad *= scale
 
 
-def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
-                   config: RunConfig, rng, noise=None):
-    """Gated loss terms on a batch of whole clusters.
+# videos per block of the aligner's clip stages: they run video by video,
+# so blocks give the same bits as one pass and keep the temporaries of a
+# large split small; 128 to 512 measured about the same
+CLIP_BLOCK = 256
 
-    Returns (terms dict, total Tensor, per-cluster answer dists map).
-    `rng` draws the Gumbel noise (unless `noise` is given) and the triplet
-    samples.  Terms that are gated off are never computed and never
-    consume randomness, so a reduced model is reproduced bit-identically.
+
+def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
+             config: RunConfig, rng=None, noise=None):
+    """The model on pack rows `rows`, the nodes of `clusters` in order.
+
+    The Gumbel noise is `noise` ([len(rows), n_c, 2]) when given, else
+    drawn from `rng`.  Returns (head logits [len(rows), vocab], one node id
+    -> aggregator logits map per cluster or None, the aligner's
+    (f_q, clips, ind, w_rel) or None).
     """
-    batch_clusters = [pack.clusters[i] for i in cluster_ids]
-    rows = np.concatenate([
-        np.fromiter(rows_map.values(), dtype=np.int64)
-        for _, rows_map in batch_clusters
-    ])
-    local = {}
-    for _, rows_map in batch_clusters:
-        for nid in rows_map:
-            local[nid] = len(local)
     f_q = Tensor(pack.f_q[rows])
-    gold = pack.gold[rows]
-    terms = {}
-
     if config.use_aligner:
-        f_m_c, clips = aligner.clip_pipeline(
-            Tensor(pack.f_o[rows]), Tensor(pack.f_a[rows]),
-            Tensor(pack.f_m[rows]), f_q, store, config.heads)
-        ind, _ = aligner.hard_indicator(f_m_c, f_q, store, config.heads,
-                                        config.temperature, rng, noise)
+        clips, ind = [], []
+        for lo in range(0, len(rows), CLIP_BLOCK):
+            blk = rows[lo:lo + CLIP_BLOCK]
+            f_q_blk = f_q if len(blk) == len(rows) else Tensor(pack.f_q[blk])
+            f_m_c, clips_blk = aligner.clip_pipeline(
+                Tensor(pack.f_o[blk]), Tensor(pack.f_a[blk]),
+                Tensor(pack.f_m[blk]), f_q_blk, store, config.heads)
+            ind_blk, _ = aligner.hard_indicator(
+                f_m_c, f_q_blk, store, config.heads, config.temperature, rng,
+                None if noise is None else noise[lo:lo + CLIP_BLOCK])
+            clips.append(clips_blk)
+            ind.append(ind_blk)
+        if len(clips) > 1:
+            clips, ind = ad.concat(clips, axis=0), ad.concat(ind, axis=0)
+        else:  # one block builds the tape of a single pass
+            (clips,), (ind,) = clips, ind
         w_rel = ad.getitem(ind, (slice(None), slice(None), 0))
-        joint = aligner.backbone_joint(clips, f_q, store, clip_weights=w_rel)
-        if config.use_contrastive:
-            terms["contrastive"] = aligner.anchor_contrastive(
-                f_q, clips, ind, w_rel, store)
+        aligned = (f_q, clips, ind, w_rel)
     else:
-        joint = aligner.backbone_joint(Tensor(pack.f_m[rows]), f_q, store)
-
+        clips, w_rel, aligned = Tensor(pack.f_m[rows]), None, None
+    joint = aligner.backbone_joint(clips, f_q, store, clip_weights=w_rel)
     head = aligner.answer_logits(joint, store)
-    terms["answer_ce"] = ad.softmax_cross_entropy_batch(head, gold)
 
-    dists = {}
+    maps = None
     if config.use_aggregator:
-        graph_logits = []
-        for g, rows_map in batch_clusters:
+        local = {}
+        for _, rows_map in clusters:
+            for nid in rows_map:
+                local[nid] = len(local)
+        maps = []
+        for g, rows_map in clusters:
             feats = {nid: ad.getitem(joint, local[nid]) for nid in rows_map}
             order, outputs, _ = aggregator.gat_forward(
                 feats, g, store, config.layers
             )
-            logits_map, dist_map = aggregator.predict_answers(
-                order, outputs, store
-            )
-            graph_logits.append((g, logits_map))
-            dists.update(dist_map)
+            maps.append(aggregator.predict_answers(order, outputs, store))
+    return head, maps, aligned
+
+
+def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
+                   config: RunConfig, rng, noise=None):
+    """Gated loss terms on a batch of whole clusters.
+
+    Returns (terms dict, total Tensor).  `rng` draws the Gumbel noise
+    (unless `noise` is given) and the triplet samples.  Terms that are
+    gated off are never computed and never consume randomness, so a
+    reduced model is reproduced bit-identically.
+    """
+    batch = [pack.clusters[i] for i in cluster_ids]
+    rows = np.concatenate([
+        np.fromiter(rows_map.values(), dtype=np.int64)
+        for _, rows_map in batch
+    ])
+    head, maps, aligned = _forward(pack, rows, batch, store, config, rng,
+                                   noise)
+    terms = {}
+    if aligned is not None and config.use_contrastive:
+        terms["contrastive"] = aligner.anchor_contrastive(*aligned, store)
+    terms["answer_ce"] = ad.softmax_cross_entropy_batch(head, pack.gold[rows])
+    if maps is not None:
+        graph_logits = [(g, lm) for (g, _), lm in zip(batch, maps)]
         if config.use_triplet:
-            reprs = aggregator.edge_representations(
-                [(g, lm) for g, lm in graph_logits], store
-            )
+            reprs = aggregator.edge_representations(graph_logits, store)
             triplet = aggregator.edge_triplet_loss(reprs, config.margin,
                                                    rng)
         else:
@@ -252,9 +297,6 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
         terms["aggregation"] = aggregator.aggregation_loss(
             graph_logits, triplet, config.synthetic.vocab_index
         )
-    else:
-        sm = ad.softmax(head, axis=-1)
-        dists = {nid: ad.getitem(sm, local[nid]) for nid in local}
 
     total = ad.mul(terms["answer_ce"], config.alignment_weight)
     if "contrastive" in terms:
@@ -263,12 +305,7 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
     if "aggregation" in terms:
         total = ad.add(total, ad.mul(terms["aggregation"],
                                      config.aggregation_weight))
-    return terms, total, dists
-
-
-# videos per block of the clip stages in predict_split; 128 to 512
-# measured about the same
-EVAL_BLOCK = 256
+    return terms, total
 
 
 def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
@@ -278,30 +315,16 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
     Runs on a frozen view of the store, so no autodiff tape is recorded.
     """
     _check_dims(store, config)
-    store = store.frozen()
+    head, maps, aligned = _forward(
+        pack, np.arange(pack.n_nodes), pack.clusters, store.frozen(), config,
+        noise=np.zeros(pack.planted.shape + (2,)))
+    logits = dict(zip(pack.node_ids, head.data)) if maps is None else {
+        nid: t.data for lm in maps for nid, t in lm.items()}
     vocab = config.synthetic.vocab
-    f_q = Tensor(pack.f_q)
+    predictions = {nid: vocab[int(np.argmax(v))] for nid, v in logits.items()}
     relevance = {}
-    if config.use_aligner:
-        # the clip stages run per video, so blocks give the same bits and
-        # smaller temporaries; the 2-D GEMMs after them see the whole split
-        clips, ind = [], []
-        for lo in range(0, pack.n_nodes, EVAL_BLOCK):
-            rows = slice(lo, lo + EVAL_BLOCK)
-            f_q_blk = Tensor(pack.f_q[rows])
-            f_m_c, clips_blk = aligner.clip_pipeline(
-                Tensor(pack.f_o[rows]), Tensor(pack.f_a[rows]),
-                Tensor(pack.f_m[rows]), f_q_blk, store, config.heads)
-            zero = np.zeros(f_m_c.shape[:-1] + (2,))
-            ind_blk, _ = aligner.hard_indicator(
-                f_m_c, f_q_blk, store, config.heads, config.temperature,
-                noise=zero)
-            clips.append(clips_blk.data)
-            ind.append(ind_blk.data)
-        w_rel = np.concatenate(ind)[:, :, 0]
-        joint = aligner.backbone_joint(np.concatenate(clips), f_q, store,
-                                       clip_weights=w_rel)
-        picked = w_rel > 0.5
+    if aligned is not None:
+        picked = aligned[3].data > 0.5
         hit = int((picked & pack.planted).sum())
         planted = int(pack.planted.sum())
         chosen = int(picked.sum())
@@ -309,25 +332,6 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
             "recall": hit / planted if planted else 0.0,
             "precision": hit / chosen if chosen else 0.0,
         }
-    else:
-        joint = aligner.backbone_joint(Tensor(pack.f_m), f_q, store)
-
-    if config.use_aggregator:
-        predictions = {}
-        for g, rows_map in pack.clusters:
-            feats = {nid: ad.getitem(joint, row)
-                     for nid, row in rows_map.items()}
-            order, outputs, _ = aggregator.gat_forward(
-                feats, g, store, config.layers
-            )
-            _, dist_map = aggregator.predict_answers(order, outputs, store)
-            for nid, dist in dist_map.items():
-                predictions[nid] = vocab[int(np.argmax(dist.data))]
-    else:
-        head = aligner.answer_logits(joint, store).data
-        picks = head.argmax(axis=-1)
-        predictions = {nid: vocab[int(picks[i])]
-                       for i, nid in enumerate(pack.node_ids)}
     return predictions, relevance
 
 
@@ -403,8 +407,7 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
         # linear warmdown: locks the solution in late in training instead
         # of letting a rare large step wreck a converged model
         opt.lr = config.lr * (1.0 - (step - 1) / max(config.steps, 1))
-        terms, total, _ = forward_losses(train_pack, batch, store, config,
-                                         rng)
+        terms, total = forward_losses(train_pack, batch, store, config, rng)
         if not np.isfinite(total.data):
             raise NonFiniteLossError(
                 f"non-finite loss at step {step}",

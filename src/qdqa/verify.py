@@ -167,7 +167,7 @@ def check_gat_head(seed: int) -> float:
         order, outputs, _ = aggregator.gat_forward(
             {"a": fa, "b": fb, "c": fc}, g, store, layers
         )
-        logits, _ = aggregator.predict_answers(order, outputs, store)
+        logits = aggregator.predict_answers(order, outputs, store)
         return ad.reduce_sum(ad.mul(logits["a"], Tensor(w)))
 
     return ad.grad_check(fn, [feats["a"], feats["b"], feats["c"]])
@@ -260,7 +260,7 @@ def check_total_losses(seed: int) -> float:
     def fn():
         ad.gumbel_softmax = soft_gumbel
         try:
-            _, total, _ = forward_losses(
+            _, total = forward_losses(
                 pack, [0, 1], store, config,
                 rng=np.random.default_rng([seed, 8]), noise=noise,
             )

@@ -359,24 +359,15 @@ def objective_setup(row, seed):
 
 
 class TestAnswerAndLoss:
-    def test_distribution_sums_to_one(self):
-        cfg, pack, store = objective_setup("aligner", 0)
-        terms, total, dists = tr.forward_losses(
-            pack, [0, 1], store, cfg, np.random.default_rng(17))
-        assert set(terms) == {"answer_ce", "contrastive"}
-        assert np.isfinite(total.item())
-        for d in dists.values():
-            assert d.data.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_zero_head_gives_uniform_and_ln_vocab_ce(self):
         cfg, pack, store = objective_setup("aligner", 1)
         store["al.head.w"].data[:] = 0.0
         store["al.head.b"].data[:] = 0.0
-        terms, total, dists = tr.forward_losses(
+        terms, total = tr.forward_losses(
             pack, [0, 1], store, cfg, np.random.default_rng(18))
+        assert set(terms) == {"answer_ce", "contrastive"}
+        assert np.isfinite(total.item())
         vocab = len(cfg.synthetic.vocab)
-        for d in dists.values():
-            np.testing.assert_allclose(d.data, 1.0 / vocab, atol=1e-12)
         assert terms["answer_ce"].item() == pytest.approx(np.log(vocab),
                                                           abs=1e-12)
         # total = ln |vocab| + the (non-negative) alignment term
@@ -393,7 +384,7 @@ class TestAnswerAndLoss:
                 size=(pack.n_nodes, cfg.synthetic.n_c, 2))
 
             def f_param(ts):
-                _, total, _ = tr.forward_losses(
+                _, total = tr.forward_losses(
                     pack, [0, 1], store, cfg,
                     np.random.default_rng([seed, 8]), noise=noise)
                 return total

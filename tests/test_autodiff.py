@@ -365,6 +365,11 @@ class TestGumbelSoftmax:
         (out * np.array([[1.0, 0.0], [0.0, 1.0]])).sum().backward()
         assert x.grad is not None and np.abs(x.grad).sum() > 0
 
+    def test_needs_rng_or_noise(self):
+        # an unseeded fallback would break the CLI's determinism silently
+        with pytest.raises(ValueError, match="rng or noise"):
+            ad.gumbel_softmax(Tensor(np.zeros((1, 2))), hard=True)
+
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
             ad.gumbel_softmax(Tensor(np.zeros((1, 2))), temperature=0.0)

@@ -129,6 +129,25 @@ def test_eval_non_string_answer_exits_1(tmp_path):
     assert "line 1" in payload["message"]
 
 
+def test_eval_binary_gold_maybe_exits_1(tmp_path):
+    gpath, gold, pred = write_row1_fixture(tmp_path)
+    binary = next(n.id for g in qdg.load_jsonl(gpath.read_text())
+                  for n in g.nodes if n.kind == "binary")
+    rows = [json.loads(line) for line in gold.read_text().splitlines()]
+    for row in rows:
+        if row["id"] == binary:
+            row["answer"] = "maybe"
+    gold.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(gpath), "--gold", str(gold),
+        "--pred", str(pred), "--out", str(tmp_path / "r.json"),
+    ])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "QdgError"
+    assert binary in payload["message"] and "'maybe'" in payload["message"]
+
+
 def test_eval_non_object_prediction_line_exits_1(tmp_path):
     payload = eval_error(tmp_path, lambda text: text + "[1, 2]\n")
     assert payload["error"] == "ValueError"
@@ -292,6 +311,28 @@ def test_train_command_bad_config_exits_1(tmp_path):
     ])
     assert result.exit_code == 1
     assert json.loads(result.stderr)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("text, named", [
+    ("[]", "config must"),
+    ('{"stepz": 3}', "config.stepz"),
+    ('{"synthetic": {"clusterz": 3}}', "config.synthetic.clusterz"),
+    ('{"synthetic": 5}', "config.synthetic must"),
+    ('{"steps": "3"}', "config.steps must"),
+], ids=["list", "unknown_key", "unknown_nested_key", "non_object_synthetic",
+        "string_steps"])
+def test_malformed_config_exits_1_naming_the_key(tmp_path, command, text,
+                                                 named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    result = RUNNER.invoke(main, [
+        command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "ConfigError"
+    assert named in payload["message"]
 
 
 def test_ablate_command(tmp_path):

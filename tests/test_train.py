@@ -129,7 +129,7 @@ def test_gating_preserves_shared_terms_bitwise():
 
     def run(cfg):
         rng = np.random.default_rng(123)
-        terms, total, _ = forward_losses(train_pack, batch, store, cfg, rng)
+        terms, total = forward_losses(train_pack, batch, store, cfg, rng)
         return {k: float(v.data) for k, v in terms.items()}, float(total.data)
 
     on, _ = run(cfg_on)
@@ -148,21 +148,19 @@ def test_forward_losses_all_finite_and_positive():
     cfg = tiny_config()
     store = init_params(cfg)
     train_pack, _, _ = packs_for(cfg)
-    terms, total, dists = forward_losses(
+    terms, total = forward_losses(
         train_pack, [0, 1], store, cfg, np.random.default_rng(0)
     )
     assert np.isfinite(total.data)
     for t in terms.values():
         assert float(t.data) >= 0.0
-    for d in dists.values():
-        assert d.data.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_non_finite_loss_aborts_with_dump(monkeypatch):
     cfg = tiny_config()
 
     def bad(*args, **kwargs):
-        return {"answer_ce": Tensor(np.inf)}, Tensor(np.inf), {}
+        return {"answer_ce": Tensor(np.inf)}, Tensor(np.inf)
 
     monkeypatch.setattr(tr, "forward_losses", bad)
     with pytest.raises(NonFiniteLossError) as err:
@@ -199,29 +197,40 @@ def test_evaluate_records_no_tape(monkeypatch, row):
     assert made and not any(made)
 
 
-@pytest.mark.parametrize("row", ["full", "aligner"])
+@pytest.mark.parametrize("row", [name for name, _ in tr.ABLATION_ROWS])
 def test_predict_split_matches_recording_forward(row):
     cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
     store = init_params(cfg)
     _, val_pack, _ = packs_for(cfg)
+    rows = np.arange(val_pack.n_nodes)
+    zeros = np.zeros((val_pack.n_nodes, cfg.synthetic.n_c, 2))
+
+    def run(s):
+        head, maps, _ = tr._forward(val_pack, rows, val_pack.clusters, s,
+                                    cfg, noise=zeros)
+        logits = dict(zip(val_pack.node_ids, head.data))
+        if maps is not None:
+            logits = {nid: t.data for m in maps for nid, t in m.items()}
+        return head, {nid: v.tobytes() for nid, v in logits.items()}, logits
+
+    head, recorded, logits = run(store)
+    assert head._parents  # the reference path does record a tape
+    frozen_head, frozen, _ = run(store.frozen())
+    assert not frozen_head._parents
+    assert frozen_head.data.tobytes() == head.data.tobytes()
+    assert frozen == recorded
     predictions, _ = predict_split(store, cfg, val_pack)
-    sc = cfg.synthetic
-    zeros = np.zeros((val_pack.n_nodes, sc.n_c, 2))
-    _, total, dists = forward_losses(
-        val_pack, range(len(val_pack.clusters)), store, cfg,
-        np.random.default_rng(0), noise=zeros,
-    )
-    assert total._parents  # the reference path does record a tape
-    assert predictions == {nid: sc.vocab[int(np.argmax(d.data))]
-                           for nid, d in dists.items()}
+    vocab = cfg.synthetic.vocab
+    assert predictions == {nid: vocab[int(np.argmax(v))]
+                           for nid, v in logits.items()}
 
 
 def test_evaluate_leaves_gradients_unchanged():
     cfg = tiny_config()
     store = init_params(cfg)
     train_pack, val_pack, _ = packs_for(cfg)
-    _, total, _ = forward_losses(train_pack, [0, 1], store, cfg,
-                                 np.random.default_rng(0))
+    _, total = forward_losses(train_pack, [0, 1], store, cfg,
+                              np.random.default_rng(0))
     total.backward()
     before = {n: t.grad for n, t in store.params.items()}
     copies = {n: None if g is None else g.copy() for n, g in before.items()}
@@ -240,8 +249,8 @@ def test_backward_matches_reference_walk_bitwise(row, batch):
     grads = []
     for walk in (Tensor.backward, reference_backward):
         store = init_params(cfg)
-        _, total, _ = forward_losses(train_pack, batch, store, cfg,
-                                     np.random.default_rng(0))
+        _, total = forward_losses(train_pack, batch, store, cfg,
+                                  np.random.default_rng(0))
         walk(total)
         grads.append({n: t.grad.tobytes() for n, t in store.params.items()})
     assert grads[0] == grads[1]
@@ -255,8 +264,8 @@ def test_fused_ops_keep_gradients_bitwise(monkeypatch, row, batch):
 
     def run():
         store = init_params(cfg)
-        terms, total, _ = forward_losses(train_pack, batch, store, cfg,
-                                         np.random.default_rng(0))
+        terms, total = forward_losses(train_pack, batch, store, cfg,
+                                      np.random.default_rng(0))
         total.backward()
         return ({k: v.data.tobytes() for k, v in terms.items()},
                 {n: t.grad.tobytes() for n, t in store.params.items()})
@@ -281,12 +290,39 @@ def test_blocked_predict_split_matches_one_block(monkeypatch, row):
         return out
 
     monkeypatch.setattr(tr.aligner, "backbone_joint", recording_joint)
-    monkeypatch.setattr(tr, "EVAL_BLOCK", 3)  # ragged last block
+    monkeypatch.setattr(tr, "CLIP_BLOCK", 3)  # ragged last block
     assert val_pack.n_nodes % 3
     blocked = predict_split(store, cfg, val_pack)
-    monkeypatch.setattr(tr, "EVAL_BLOCK", val_pack.n_nodes)
+    monkeypatch.setattr(tr, "CLIP_BLOCK", val_pack.n_nodes)
     assert predict_split(store, cfg, val_pack) == blocked
     assert joints[0] == joints[1]
+
+
+@pytest.mark.parametrize("row", ["full", "aligner"])
+def test_blocked_recording_forward_matches_one_block(monkeypatch, row):
+    cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
+    train_pack, _, _ = packs_for(cfg)
+    batch = [0, 1, 2]
+
+    def run():
+        store = init_params(cfg)
+        terms, total = forward_losses(train_pack, batch, store, cfg,
+                                      np.random.default_rng(0))
+        total.backward()
+        return ({k: v.data.tobytes() for k, v in terms.items()},
+                total.data.tobytes(),
+                {n: t.grad for n, t in store.params.items()})
+
+    monkeypatch.setattr(tr, "CLIP_BLOCK", 4)  # ragged last block
+    n = sum(len(train_pack.clusters[i][1]) for i in batch)
+    assert n > 4 and n % 4
+    blocked = run()
+    monkeypatch.setattr(tr, "CLIP_BLOCK", n)
+    single = run()
+    assert blocked[:2] == single[:2]
+    for name, grad in single[2].items():
+        np.testing.assert_allclose(blocked[2][name], grad, rtol=0,
+                                   atol=1e-12, err_msg=name)
 
 
 def test_relevance_tally_matches_set_loop(monkeypatch):
@@ -302,7 +338,7 @@ def test_relevance_tally_matches_set_loop(monkeypatch):
         return out
 
     monkeypatch.setattr(tr.aligner, "hard_indicator", recording_indicator)
-    monkeypatch.setattr(tr, "EVAL_BLOCK", 4)
+    monkeypatch.setattr(tr, "CLIP_BLOCK", 4)
     _, relevance = predict_split(store, cfg, val_pack)
     ind = np.concatenate(blocks)
     ds = generate_dataset(cfg.synthetic)
@@ -329,8 +365,8 @@ def test_repeated_cluster_in_batch_keeps_its_rows():
     train_pack, _, _ = packs_for(cfg)
 
     def terms(batch):
-        out, _, _ = forward_losses(train_pack, batch, store, cfg,
-                                   np.random.default_rng(0))
+        out, _ = forward_losses(train_pack, batch, store, cfg,
+                                np.random.default_rng(0))
         return {k: float(v.data) for k, v in out.items()}
 
     once, twice = terms([0]), terms([0, 0])
