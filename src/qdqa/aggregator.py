@@ -29,7 +29,7 @@ def init_aggregator_params(store: ParamStore, h: int, layers: int,
     store.linear("ag.edge", 2 * vocab_size, h)
 
 
-def _neighbor_mask(g: QDG, order: list[str]) -> np.ndarray:
+def neighbor_mask(g: QDG, order: list[str]) -> np.ndarray:
     """mask[i, j] = 1 where node i may attend node j: its children and
     itself (self-loop keeps childless nodes alive)."""
     pos = {nid: i for i, nid in enumerate(order)}
@@ -42,14 +42,20 @@ def _neighbor_mask(g: QDG, order: list[str]) -> np.ndarray:
 
 def gat_layer(feats: Tensor, mask: np.ndarray, store: ParamStore,
               prefix: str) -> tuple[Tensor, Tensor]:
-    """One attention layer over [n, h] features; returns (output, alpha)."""
-    n, h = feats.shape
+    """One attention layer over [..., n, h] features and [..., n, n] masks;
+    leading axes stack graphs of the same size.  Returns (output, alpha).
+
+    Every op works matrix by matrix or row by row over the leading axes,
+    so a stacked graph gets the same bits as the same graph alone."""
+    n, h = feats.shape[-2:]
+    lead = feats.shape[:-2]
     ws, wsb = store[f"{prefix}.ws.w"], store[f"{prefix}.ws.b"]
     # [f_i || f_j] @ Ws splits into row blocks of Ws
     left = ad.matmul(feats, ad.getitem(ws, slice(0, h)))
     right = ad.linear(feats, ad.getitem(ws, slice(h, 2 * h)), wsb)
-    pair = ad.add(ad.reshape(left, (n, 1, h)), ad.reshape(right, (1, n, h)))
-    scores = ad.matmul(ad.leaky_relu(pair), store[f"{prefix}.a"])  # [n, n]
+    pair = ad.add(ad.reshape(left, lead + (n, 1, h)),
+                  ad.reshape(right, lead + (1, n, h)))
+    scores = ad.matmul(ad.leaky_relu(pair), store[f"{prefix}.a"])
     masked = ad.add(scores, MASK_OFF * (1.0 - mask))
     alpha = ad.softmax(masked, axis=-1)
     alpha = ad.mul(alpha, mask)  # zero the masked tail exactly
@@ -57,9 +63,28 @@ def gat_layer(feats: Tensor, mask: np.ndarray, store: ParamStore,
     return ad.relu(ad.matmul(alpha, transformed)), alpha
 
 
+def gat_layers(feats: Tensor, mask: np.ndarray, store: ParamStore,
+               layers: int):
+    """All layers over [..., n, h] features; returns ([per-layer
+    [..., n, h] Tensors], alphas)."""
+    outputs, alphas = [], []
+    for k in range(layers):
+        feats, alpha = gat_layer(feats, mask, store, f"ag.l{k}")
+        outputs.append(feats)
+        alphas.append(alpha)
+    return outputs, alphas
+
+
+def answer_head(layer_outputs: list[Tensor], store: ParamStore) -> Tensor:
+    """Concat per-layer features into the head: logits [..., n, vocab]."""
+    stacked = ad.concat(layer_outputs, axis=-1)  # [..., n, K*h]
+    return ad.linear(stacked, *store.layer("ag.head"))
+
+
 def gat_forward(node_features: dict, g: QDG, store: ParamStore,
                 layers: int):
-    """Run all layers; returns (order, [per-layer [n, h] Tensors], alphas).
+    """All layers on one graph; returns (order, [per-layer [n, h]
+    Tensors], alphas).
 
     node_features maps node id -> Tensor [h].  Node order is sorted id.
     """
@@ -70,21 +95,16 @@ def gat_forward(node_features: dict, g: QDG, store: ParamStore,
     if len(widths) != 1:
         raise ShapeError("node feature widths differ")
     feats = ad.stack([node_features[i] for i in order], axis=0)
-    mask = _neighbor_mask(g, order)
-    outputs, alphas = [], []
-    for k in range(layers):
-        feats, alpha = gat_layer(feats, mask, store, f"ag.l{k}")
-        outputs.append(feats)
-        alphas.append(alpha)
+    outputs, alphas = gat_layers(feats, neighbor_mask(g, order), store,
+                                 layers)
     return order, outputs, alphas
 
 
 def predict_answers(order: list[str], layer_outputs: list[Tensor],
                     store: ParamStore):
-    """Concat per-layer features into the head; returns the logits as a map
-    node id -> Tensor.  Logits are also the edge-feature inputs."""
-    stacked = ad.concat(layer_outputs, axis=-1)  # [n, K*h]
-    head = ad.linear(stacked, *store.layer("ag.head"))
+    """The head on one graph; returns the logits as a map node id ->
+    Tensor.  Logits are also the edge-feature inputs."""
+    head = answer_head(layer_outputs, store)
     return {nid: ad.getitem(head, i) for i, nid in enumerate(order)}
 
 

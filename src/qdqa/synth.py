@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .aligner import VideoFeatures
-from .qdg import QDG, QuestionCluster, cluster, from_dict, to_dict
+from .qdg import (QDG, VALID_ROLES, QuestionCluster, cluster, from_dict,
+                  to_dict)
 
 OPEN_VOCAB = ("red", "blue", "green")
 BINARY_VOCAB = ("yes", "no")
@@ -73,6 +74,17 @@ class SyntheticConfig:
             raise ConfigError("relevant-clip range must lie within [1, n_c]")
         if self.subs_min > self.subs_max:
             raise ConfigError("bad subs range")
+        if not isinstance(self.role_gain, dict):
+            raise ConfigError("role_gain must map each role to a number")
+        for role, gain in self.role_gain.items():
+            if role not in VALID_ROLES:
+                raise ConfigError(f"unknown role_gain key {role!r}")
+            if isinstance(gain, bool) or not isinstance(gain, (int, float)):
+                raise ConfigError(f"role_gain.{role} must be a number, got "
+                                  f"{type(gain).__name__}")
+        missing = [r for r in VALID_ROLES if r not in self.role_gain]
+        if missing:
+            raise ConfigError(f"role_gain.{missing[0]} is missing")
 
     @property
     def vocab(self) -> tuple:
@@ -348,6 +360,10 @@ class Dataset:
                 "test": [n_train + n_val, n],
             },
         }
+
+
+# the fewest clusters whose 70/15/15 split leaves no split empty
+MIN_CLUSTERS = 7
 
 
 def generate_dataset(config: SyntheticConfig) -> Dataset:

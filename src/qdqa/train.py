@@ -16,7 +16,8 @@ import numpy as np
 
 from . import aggregator, aligner, autodiff as ad, metrics
 from .autodiff import Adam, ParamStore, ShapeError, Tensor
-from .synth import ConfigError, SyntheticConfig, generate_dataset
+from .synth import (MIN_CLUSTERS, ConfigError, SyntheticConfig,
+                    generate_dataset)
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -221,9 +222,19 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     """The model on pack rows `rows`, the nodes of `clusters` in order.
 
     The Gumbel noise is `noise` ([len(rows), n_c, 2]) when given, else
-    drawn from `rng`.  Returns (head logits [len(rows), vocab], one node id
-    -> aggregator logits map per cluster or None, the aligner's
-    (f_q, clips, ind, w_rel) or None).
+    drawn from `rng`.  Returns (head logits [len(rows), vocab], the
+    aggregator logits or None, the aligner's (f_q, clips, ind, w_rel) or
+    None).
+
+    The aggregator runs once per cluster, and its logits are one node id
+    -> Tensor map per cluster, when a parameter of `store` requires grad.
+    Otherwise (a `store.frozen()` view) it runs once per cluster size on
+    the stacked clusters of that size, and its logits are one
+    [len(rows), vocab] array in row order; both give the same bits.
+    Training does not group: gathering a cluster's rows with one index
+    array instead of one `getitem` per node adds the gradient sums of
+    `joint` in another order, which changed the report and parameters of
+    4 of 15 80-step runs (the five ablation rows at seeds 0-2).
     """
     f_q = Tensor(pack.f_q[rows])
     if config.use_aligner:
@@ -250,20 +261,50 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     joint = aligner.backbone_joint(clips, f_q, store, clip_weights=w_rel)
     head = aligner.answer_logits(joint, store)
 
-    maps = None
+    agg = None
     if config.use_aggregator:
-        local = {}
-        for _, rows_map in clusters:
-            for nid in rows_map:
-                local[nid] = len(local)
-        maps = []
-        for g, rows_map in clusters:
-            feats = {nid: ad.getitem(joint, local[nid]) for nid in rows_map}
-            order, outputs, _ = aggregator.gat_forward(
-                feats, g, store, config.layers
-            )
-            maps.append(aggregator.predict_answers(order, outputs, store))
-    return head, maps, aligned
+        if any(t.requires_grad for t in store.params.values()):
+            agg = _cluster_logits(joint, clusters, store, config.layers)
+        else:
+            agg = _grouped_logits(joint, clusters, store, config.layers)
+    return head, agg, aligned
+
+
+def _cluster_logits(joint: Tensor, clusters, store: ParamStore,
+                    layers: int) -> list:
+    """One aggregator pass per cluster on one `getitem` row per node."""
+    local = {}
+    for _, rows_map in clusters:
+        for nid in rows_map:
+            local[nid] = len(local)
+    maps = []
+    for g, rows_map in clusters:
+        feats = {nid: ad.getitem(joint, local[nid]) for nid in rows_map}
+        order, outputs, _ = aggregator.gat_forward(feats, g, store, layers)
+        maps.append(aggregator.predict_answers(order, outputs, store))
+    return maps
+
+
+def _grouped_logits(joint: Tensor, clusters, store: ParamStore,
+                    layers: int) -> np.ndarray:
+    """One aggregator pass per cluster size over the stacked clusters of
+    that size; returns the logits [len(joint), vocab] in joint's rows."""
+    groups: dict[int, tuple[list, list]] = {}
+    start = 0
+    for g, rows_map in clusters:
+        pos = {nid: start + i for i, nid in enumerate(rows_map)}
+        order = sorted(rows_map)
+        idx, masks = groups.setdefault(len(order), ([], []))
+        idx.append([pos[nid] for nid in order])
+        masks.append(aggregator.neighbor_mask(g, order))
+        start += len(order)
+    logits = np.empty((start, store["ag.head.b"].shape[0]))
+    for idx, masks in groups.values():
+        idx = np.asarray(idx)  # [B, n]
+        outputs, _ = aggregator.gat_layers(
+            ad.getitem(joint, idx), np.stack(masks), store, layers)
+        logits[idx] = aggregator.answer_head(outputs, store).data
+    return logits
 
 
 def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
@@ -311,17 +352,19 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
 def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
     """Deterministic (zero-noise) predictions over a whole split.
 
-    Returns (predictions: node id -> answer token, relevance stats dict).
-    Runs on a frozen view of the store, so no autodiff tape is recorded.
+    Returns (predictions: node id -> answer token in `pack.node_ids`
+    order, relevance stats dict).  Runs on a frozen view of the store, so
+    no autodiff tape is recorded and the aggregator runs once per cluster
+    size.
     """
     _check_dims(store, config)
-    head, maps, aligned = _forward(
+    head, agg, aligned = _forward(
         pack, np.arange(pack.n_nodes), pack.clusters, store.frozen(), config,
         noise=np.zeros(pack.planted.shape + (2,)))
-    logits = dict(zip(pack.node_ids, head.data)) if maps is None else {
-        nid: t.data for lm in maps for nid, t in lm.items()}
+    answers = np.argmax(head.data if agg is None else agg, axis=-1)
     vocab = config.synthetic.vocab
-    predictions = {nid: vocab[int(np.argmax(v))] for nid, v in logits.items()}
+    predictions = {nid: vocab[i]
+                   for nid, i in zip(pack.node_ids, answers.tolist())}
     relevance = {}
     if aligned is not None:
         picked = aligned[3].data > 0.5
@@ -372,6 +415,16 @@ def _epoch_row(step, loss_avgs, report, relevance):
     }
 
 
+def _first_non_finite(store: ParamStore):
+    """Name of the first parameter whose data or held gradient has a
+    non-finite entry, else None."""
+    for name, t in store.params.items():
+        if not np.isfinite(t.data).all() or (
+                t.grad is not None and not np.isfinite(t.grad).all()):
+            return name
+    return None
+
+
 def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
     """Optimize the gated joint loss; checkpoint the best validation c-F1.
 
@@ -381,6 +434,12 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
     started = time.monotonic()
     rng = np.random.default_rng([config.seed, 77])
     ds = generate_dataset(config.synthetic)
+    for name in ("train", "validation", "test"):
+        if not getattr(ds, name):
+            raise ConfigError(
+                f"the {name} split is empty: synthetic.clusters is "
+                f"{config.synthetic.clusters}, and must be at least "
+                f"{MIN_CLUSTERS}")
     vocab_index = config.synthetic.vocab_index
     train_pack = pack_split(ds.train, vocab_index)
     val_pack = pack_split(ds.validation, vocab_index)
@@ -412,7 +471,8 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
             raise NonFiniteLossError(
                 f"non-finite loss at step {step}",
                 dump={"step": step,
-                      **{k: float(v.data) for k, v in terms.items()}},
+                      **{k: float(v.data) for k, v in terms.items()},
+                      "param": _first_non_finite(store)},
             )
         store.zero_grad()
         total.backward()

@@ -173,6 +173,38 @@ def check_gat_head(seed: int) -> float:
     return ad.grad_check(fn, [feats["a"], feats["b"], feats["c"]])
 
 
+def check_gat_stacked(seed: int) -> float:
+    """The aggregator core and head on B = 2 stacked graphs of the same
+    size with different neighbour masks.
+
+    The left (f_i) block of `ws` gets an exactly zero gradient column
+    wherever a row's pair scores all sit on one side of the leaky-relu
+    kink, since softmax ignores a per-row shift; elementwise differences
+    there measure only rounding noise.  So `ws` is checked along random
+    directions, the features and the head weight also element by
+    element."""
+    rng = np.random.default_rng([seed, 11])
+    h, layers, vocab = 6, 2, 5
+    store = ParamStore(seed=seed)
+    aggregator.init_aggregator_params(store, h, layers, vocab)
+    chain = np.eye(3)
+    chain[0, 1] = chain[1, 2] = 1.0  # a -> b -> c
+    mask = np.stack([aggregator.neighbor_mask(_toy_graph(), ["a", "b", "c"]),
+                     chain])
+    feats = Tensor(rng.normal(size=(2, 3, h)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, vocab)))
+
+    def fn(*_):
+        outputs = aggregator.gat_layers(feats, mask, store, layers)[0]
+        return ad.reduce_sum(ad.mul(aggregator.answer_head(outputs, store),
+                                    w))
+
+    head = store["ag.head.w"]
+    return max(ad.grad_check(fn, [feats, head]),
+               _directional_check(fn, [feats, store["ag.l0.ws.w"], head],
+                                  rng))
+
+
 def check_triplet(seed: int) -> float:
     rng = np.random.default_rng([seed, 5])
     reprs = [(t, Tensor(rng.normal(size=4), requires_grad=True))
@@ -278,6 +310,7 @@ SUITES = {
     "aligner": (("hierarchy", check_hierarchy),
                 ("contrastive", check_contrastive)),
     "aggregator": (("gat_head", check_gat_head),
+                   ("gat_stacked", check_gat_stacked),
                    ("triplet", check_triplet)),
     "train": (("total_losses", check_total_losses),),
 }

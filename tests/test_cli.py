@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -320,8 +321,13 @@ def test_train_command_bad_config_exits_1(tmp_path):
     ('{"synthetic": {"clusterz": 3}}', "config.synthetic.clusterz"),
     ('{"synthetic": 5}', "config.synthetic must"),
     ('{"steps": "3"}', "config.steps must"),
+    ('{"synthetic": {"role_gain": {}}}', "role_gain.main is missing"),
+    ('{"synthetic": {"role_gain": {"leaf": "x"}}}',
+     "role_gain.leaf must be a number"),
+    ('{"synthetic": {"clusters": 2}}', "synthetic.clusters"),
 ], ids=["list", "unknown_key", "unknown_nested_key", "non_object_synthetic",
-        "string_steps"])
+        "string_steps", "empty_role_gain", "string_role_gain",
+        "empty_split"])
 def test_malformed_config_exits_1_naming_the_key(tmp_path, command, text,
                                                  named):
     cfg = tmp_path / "bad.json"
@@ -333,6 +339,27 @@ def test_malformed_config_exits_1_naming_the_key(tmp_path, command, text,
     payload = json.loads(result.stderr)
     assert payload["error"] == "ConfigError"
     assert named in payload["message"]
+
+
+def test_non_finite_loss_dump_names_the_parameter(tmp_path, monkeypatch):
+    from qdqa import train as tr
+
+    init = tr.init_params
+
+    def poisoned(config):
+        store = init(config)
+        store["bb.l1.w"].data[0, 0] = np.nan
+        return store
+
+    monkeypatch.setattr(tr, "init_params", poisoned)
+    cfg_path = tiny_run_config(tmp_path)
+    result = RUNNER.invoke(main, [
+        "train", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "NonFiniteLossError"
+    assert payload["dump"]["param"] == "bb.l1.w"
 
 
 def test_ablate_command(tmp_path):

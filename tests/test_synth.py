@@ -17,6 +17,20 @@ def test_config_validation():
         SyntheticConfig(subs_min=4, subs_max=2)
 
 
+@pytest.mark.parametrize("role_gain, named", [
+    ({}, "role_gain.main is missing"),
+    ({"leaf": 1.0, "intermediate": 0.5}, "role_gain.main is missing"),
+    ({"leaf": "x"}, "role_gain.leaf must be a number"),
+    ({"leaf": True, "intermediate": 1, "main": 1}, "role_gain.leaf"),
+    ({"leaf": 1, "intermediate": 1, "main": 1, "root": 1}, "'root'"),
+    ([1.0, 0.35, 0.15], "role_gain must"),
+])
+def test_role_gain_needs_a_number_per_role(role_gain, named):
+    with pytest.raises(synth.ConfigError, match=named):
+        SyntheticConfig(role_gain=role_gain)
+    SyntheticConfig(role_gain={"leaf": 2, "intermediate": 0.5, "main": 0})
+
+
 def test_apply_program_boolean_reductions():
     assert synth.apply_program("AND", ["yes", "no"]) == "no"
     assert synth.apply_program("AND", ["yes", "yes"]) == "yes"

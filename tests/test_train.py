@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -197,32 +198,88 @@ def test_evaluate_records_no_tape(monkeypatch, row):
     assert made and not any(made)
 
 
+def sizes_of(pack):
+    return Counter(len(rows_map) for _, rows_map in pack.clusters)
+
+
 @pytest.mark.parametrize("row", [name for name, _ in tr.ABLATION_ROWS])
 def test_predict_split_matches_recording_forward(row):
     cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
     store = init_params(cfg)
-    _, val_pack, _ = packs_for(cfg)
-    rows = np.arange(val_pack.n_nodes)
-    zeros = np.zeros((val_pack.n_nodes, cfg.synthetic.n_c, 2))
+    pack, _, _ = packs_for(cfg)
+    assert max(sizes_of(pack).values()) > 1  # a stacked group of B > 1
+    rows = np.arange(pack.n_nodes)
+    zeros = np.zeros((pack.n_nodes, cfg.synthetic.n_c, 2))
 
     def run(s):
-        head, maps, _ = tr._forward(val_pack, rows, val_pack.clusters, s,
-                                    cfg, noise=zeros)
-        logits = dict(zip(val_pack.node_ids, head.data))
-        if maps is not None:
-            logits = {nid: t.data for m in maps for nid, t in m.items()}
-        return head, {nid: v.tobytes() for nid, v in logits.items()}, logits
+        head, agg, _ = tr._forward(pack, rows, pack.clusters, s, cfg,
+                                   noise=zeros)
+        return head, agg
 
-    head, recorded, logits = run(store)
-    assert head._parents  # the reference path does record a tape
-    frozen_head, frozen, _ = run(store.frozen())
+    head, maps = run(store)
+    assert head._parents  # the per-cluster path does record a tape
+    frozen_head, grouped = run(store.frozen())
     assert not frozen_head._parents
     assert frozen_head.data.tobytes() == head.data.tobytes()
-    assert frozen == recorded
-    predictions, _ = predict_split(store, cfg, val_pack)
+    if maps is None:
+        assert grouped is None
+        logits = head.data
+    else:
+        recorded = {nid: t.data for m in maps for nid, t in m.items()}
+        logits = np.stack([recorded[nid] for nid in pack.node_ids])
+        assert grouped.tobytes() == logits.tobytes()
+    predictions, _ = predict_split(store, cfg, pack)
     vocab = cfg.synthetic.vocab
     assert predictions == {nid: vocab[int(np.argmax(v))]
-                           for nid, v in logits.items()}
+                           for nid, v in zip(pack.node_ids, logits)}
+
+
+def per_cluster_logits(joint, clusters, store, layers):
+    """Aggregator logits as evaluation computed them one cluster at a
+    time: one `getitem` row per node, one `gat_forward` per cluster."""
+    local = {}
+    for _, rows_map in clusters:
+        for nid in rows_map:
+            local[nid] = len(local)
+    logits = {}
+    for g, rows_map in clusters:
+        feats = {nid: autodiff.getitem(joint, local[nid]) for nid in rows_map}
+        order, outputs, _ = tr.aggregator.gat_forward(feats, g, store,
+                                                      layers)
+        for nid, t in tr.aggregator.predict_answers(order, outputs,
+                                                    store).items():
+            logits[nid] = t.data
+    return logits
+
+
+def test_grouped_logits_match_per_cluster_loop(monkeypatch):
+    cfg = tiny_config(synthetic=SyntheticConfig(clusters=58, seed=0))
+    store = init_params(cfg)
+    pack, _, _ = packs_for(cfg)
+    assert len(pack.clusters) == 40
+    sizes = sizes_of(pack)
+    assert 1 in sizes.values() and max(sizes.values()) > 1
+    seen = {}
+    joint_fn, grouped_fn = tr.aligner.backbone_joint, tr._grouped_logits
+
+    def recording_joint(*args, **kwargs):
+        seen["joint"] = joint_fn(*args, **kwargs)
+        return seen["joint"]
+
+    def recording_grouped(*args):
+        seen["grouped"] = grouped_fn(*args)
+        return seen["grouped"]
+
+    monkeypatch.setattr(tr.aligner, "backbone_joint", recording_joint)
+    monkeypatch.setattr(tr, "_grouped_logits", recording_grouped)
+    predictions, _ = predict_split(store, cfg, pack)
+    want = per_cluster_logits(seen["joint"], pack.clusters, store.frozen(),
+                              cfg.layers)
+    want = np.stack([want[nid] for nid in pack.node_ids])
+    assert seen["grouped"].tobytes() == want.tobytes()
+    vocab = cfg.synthetic.vocab
+    assert predictions == {nid: vocab[int(np.argmax(v))]
+                           for nid, v in zip(pack.node_ids, want)}
 
 
 def test_evaluate_leaves_gradients_unchanged():
