@@ -58,15 +58,16 @@ def _apply_gold(graph, gold_map):
 
 def _check_ids_unique(graph_list) -> dict:
     """Metrics key answers by node id, so two graphs sharing an id would
-    share one prediction and one gold answer.  Returns node id -> graph."""
+    share one prediction and one gold answer.  Returns node id -> index of
+    its graph in graph_list."""
     owner = {}
-    for g in graph_list:
+    for i, g in enumerate(graph_list):
         for node in g.nodes:
-            first = owner.setdefault(node.id, g)
-            if first is not g:
+            first = owner.setdefault(node.id, i)
+            if first != i:
                 raise QdgError(
                     f"node id {node.id!r} appears in graphs "
-                    f"{first.graph_id!r} and {g.graph_id!r}",
+                    f"{graph_list[first].graph_id!r} and {g.graph_id!r}",
                     g.graph_id,
                 )
     return owner
@@ -99,7 +100,9 @@ def eval_cmd(graphs, gold, pred, beta, out):
         _check_ids_known(owner, gold_map, gold)
         predictions = metrics.load_predictions_jsonl(Path(pred).read_text())
         _check_ids_known(owner, predictions, pred)
-        graph_list = [_apply_gold(g, gold_map) for g in graph_list]
+        # in place, so each parsed graph is freed as its copy replaces it
+        for i, g in enumerate(graph_list):
+            graph_list[i] = _apply_gold(g, gold_map)
         report = metrics.full_report(graph_list, predictions, beta)
     except (QdgError, KeyError, ValueError, json.JSONDecodeError) as exc:
         _fail(exc)

@@ -12,7 +12,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .qdg import QDG, first_order_pairs
+from .qdg import QDG, first_order_pairs, iter_jsonl
 
 
 class MissingPredictionError(KeyError):
@@ -261,20 +261,17 @@ def load_predictions_jsonl(text: str) -> dict:
     number (both numbers for a repeated id)."""
     out = {}
     line_of = {}
-    for number, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if line:
-            obj = json.loads(line)
-            if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
-                    and isinstance(obj.get("answer"), str)):
-                raise ValueError(
-                    f"line {number}: expected an object with string "
-                    f"\"id\" and \"answer\""
-                )
-            first = line_of.setdefault(obj["id"], number)
-            if first != number:
-                raise ValueError(
-                    f"line {number}: id {obj['id']!r} repeats line {first}"
-                )
-            out[obj["id"]] = obj["answer"]
+    for number, obj in iter_jsonl(text):
+        if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+                and isinstance(obj.get("answer"), str)):
+            raise ValueError(
+                f"line {number}: expected an object with string "
+                f"\"id\" and \"answer\""
+            )
+        first = line_of.setdefault(obj["id"], number)
+        if first != number:
+            raise ValueError(
+                f"line {number}: id {obj['id']!r} repeats line {first}"
+            )
+        out[obj["id"]] = obj["answer"]
     return out

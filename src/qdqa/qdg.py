@@ -10,6 +10,8 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class QdgError(ValueError):
@@ -40,8 +42,7 @@ VALID_KINDS = ("binary", "open")
 VALID_ROLES = ("main", "intermediate", "leaf")
 
 
-@dataclass(frozen=True)
-class QuestionNode:
+class QuestionNode(NamedTuple):
     id: str
     text: str
     kind: str  # "binary" | "open"
@@ -49,8 +50,7 @@ class QuestionNode:
     gold_answer: str | None = None
 
 
-@dataclass(frozen=True)
-class QdgEdge:
+class QdgEdge(NamedTuple):
     parent: str
     child: str
     op: str
@@ -84,112 +84,100 @@ class QuestionCluster:
     graph: QDG
 
 
+_node_id = attrgetter("id")
+_edge_ends = attrgetter("parent", "child")
+
+
 def _build(graph_id, video_id, nodes, edges, edge_types) -> QDG:
     """Validate and assemble a graph from parsed parts."""
     # kind and role are checked against their few allowed strings below
-    for n in nodes:
-        if not (isinstance(n.id, str) and isinstance(n.text, str)):
+    for nid, text, kind, role, answer in nodes:
+        if not (isinstance(nid, str) and isinstance(text, str)):
             raise QdgError(
-                f"node id {n.id!r} and text {n.text!r} must be strings",
+                f"node id {nid!r} and text {text!r} must be strings",
                 graph_id,
             )
-        if not n.id:
+        if not nid:
             raise QdgError("empty node id", graph_id)
-        if n.kind not in VALID_KINDS:
-            raise QdgError(f"bad kind {n.kind!r} on node {n.id}", graph_id)
-        if n.role not in VALID_ROLES:
-            raise QdgError(f"bad role {n.role!r} on node {n.id}", graph_id)
-        if n.gold_answer is not None and not isinstance(n.gold_answer, str):
-            raise QdgError(
-                f"answer {n.gold_answer!r} on node {n.id} is neither a "
-                f"string nor null",
-                graph_id,
-            )
-        if n.kind == "binary" and n.gold_answer is not None:
-            if n.gold_answer.strip().casefold() not in ("yes", "no"):
+        if kind not in VALID_KINDS:
+            raise QdgError(f"bad kind {kind!r} on node {nid}", graph_id)
+        if role not in VALID_ROLES:
+            raise QdgError(f"bad role {role!r} on node {nid}", graph_id)
+        if answer is not None:
+            if not isinstance(answer, str):
                 raise QdgError(
-                    f"binary node {n.id} has non yes/no answer "
-                    f"{n.gold_answer!r}",
+                    f"answer {answer!r} on node {nid} is neither a "
+                    f"string nor null",
                     graph_id,
                 )
-    ids = [n.id for n in nodes]
-    id_set = set(ids)
-    if len(ids) != len(id_set):
+            if (kind == "binary"
+                    and answer.strip().casefold() not in ("yes", "no")):
+                raise QdgError(
+                    f"binary node {nid} has non yes/no answer {answer!r}",
+                    graph_id,
+                )
+    by_id = {n.id: n for n in nodes}
+    if len(by_id) != len(nodes):
         raise QdgError("duplicate node ids", graph_id)
     registry = set(edge_types)
     seen_edges = set()
-    for e in edges:
-        if not (isinstance(e.parent, str) and isinstance(e.child, str)
-                and isinstance(e.op, str)):
+    indeg = dict.fromkeys(by_id, 0)
+    adj = {}
+    for parent, child, op in edges:
+        if not (isinstance(parent, str) and isinstance(child, str)
+                and isinstance(op, str)):
             raise QdgError(
-                f"edge parent {e.parent!r}, child {e.child!r} and op "
-                f"{e.op!r} must be strings",
+                f"edge parent {parent!r}, child {child!r} and op "
+                f"{op!r} must be strings",
                 graph_id,
             )
-        if e.parent == e.child:
-            raise QdgError(f"self-loop on {e.parent}", graph_id)
-        if e.parent not in id_set or e.child not in id_set:
+        if parent == child:
+            raise QdgError(f"self-loop on {parent}", graph_id)
+        if parent not in by_id or child not in by_id:
             raise DanglingEdgeError(
-                f"edge {e.parent}->{e.child} references unknown node", graph_id
+                f"edge {parent}->{child} references unknown node", graph_id
             )
-        if e.op not in registry:
+        if op not in registry:
             raise UnknownOpError(
-                f"edge {e.parent}->{e.child} op {e.op!r} not in registry",
+                f"edge {parent}->{child} op {op!r} not in registry",
                 graph_id,
             )
-        if (e.parent, e.child) in seen_edges:
-            raise QdgError(f"duplicate edge {e.parent}->{e.child}", graph_id)
-        seen_edges.add((e.parent, e.child))
+        if (parent, child) in seen_edges:
+            raise QdgError(f"duplicate edge {parent}->{child}", graph_id)
+        seen_edges.add((parent, child))
+        indeg[child] += 1
+        adj.setdefault(parent, []).append(child)
 
-    roots = id_set - {e.child for e in edges}
+    roots = [i for i, d in indeg.items() if d == 0]
     if len(roots) != 1:
         raise RootError(
             f"expected exactly one root, found {sorted(roots)}", graph_id
         )
     (root_id,) = roots
-
-    by_id = {n.id: n for n in nodes}
     if by_id[root_id].role != "main":
         raise QdgError(f"root {root_id} must have role=main", graph_id)
 
-    # Cycle check via Kahn's algorithm.
-    indeg = {i: 0 for i in ids}
-    adj = {i: [] for i in ids}
-    for e in edges:
-        indeg[e.child] += 1
-        adj[e.parent].append(e.child)
-    queue = [i for i in ids if indeg[i] == 0]
+    # Kahn's algorithm from the only in-degree-0 node visits every node
+    # exactly when there is no cycle, and then every node is reachable
+    # from the root: walking parents up from any node must end at it.
+    queue = [root_id]
     visited = 0
     while queue:
         u = queue.pop()
         visited += 1
-        for v in adj[u]:
+        for v in adj.get(u, ()):
             indeg[v] -= 1
             if indeg[v] == 0:
                 queue.append(v)
-    if visited != len(ids):
+    if visited != len(by_id):
         raise CycleError("edge set contains a directed cycle", graph_id)
-
-    # Reachability from the root.
-    reached = {root_id}
-    stack = [root_id]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in reached:
-                reached.add(v)
-                stack.append(v)
-    if reached != id_set:
-        raise QdgError(
-            f"nodes unreachable from root: {sorted(id_set - reached)}",
-            graph_id,
-        )
 
     return QDG(
         graph_id=graph_id,
         video_id=video_id,
-        nodes=tuple(sorted(nodes, key=lambda n: n.id)),
-        edges=tuple(sorted(edges, key=lambda e: (e.parent, e.child))),
-        edge_types=tuple(sorted(set(edge_types))),
+        nodes=tuple(sorted(nodes, key=_node_id)),
+        edges=tuple(sorted(edges, key=_edge_ends)),
+        edge_types=tuple(sorted(registry)),
         _by_id=by_id,
     )
 
@@ -206,19 +194,12 @@ def from_dict(raw: dict) -> QDG:
     graph_id = raw.get("graph_id", "")
     try:
         nodes = [
-            QuestionNode(
-                id=n["id"],
-                text=n["text"],
-                kind=n["kind"],
-                role=n["role"],
-                gold_answer=n.get("answer"),
-            )
+            QuestionNode(n["id"], n["text"], n["kind"], n["role"],
+                         n.get("answer"))
             for n in raw["nodes"]
         ]
-        edges = [
-            QdgEdge(parent=e["parent"], child=e["child"], op=e["op"])
-            for e in raw["edges"]
-        ]
+        edges = [QdgEdge(e["parent"], e["child"], e["op"])
+                 for e in raw["edges"]]
     except (KeyError, TypeError) as exc:
         raise QdgError(f"malformed document: {exc}", graph_id) from exc
     edge_types = raw.get("edge_types", [])
@@ -241,18 +222,13 @@ def to_dict(g: QDG) -> dict:
         "video_id": g.video_id,
         "edge_types": list(g.edge_types),
         "nodes": [
-            {
-                "id": n.id,
-                "text": n.text,
-                "kind": n.kind,
-                "role": n.role,
-                "answer": n.gold_answer,
-            }
-            for n in g.nodes
+            {"id": nid, "text": text, "kind": kind, "role": role,
+             "answer": answer}
+            for nid, text, kind, role, answer in g.nodes
         ],
         "edges": [
-            {"parent": e.parent, "child": e.child, "op": e.op}
-            for e in g.edges
+            {"parent": parent, "child": child, "op": op}
+            for parent, child, op in g.edges
         ],
     }
 
@@ -264,12 +240,10 @@ def serialize(g: QDG) -> str:
 
 def first_order_pairs(g: QDG) -> list[tuple[str, set[str]]]:
     """Each parent with its direct children, ordered by parent id."""
-    out = []
-    for n in g.nodes:
-        kids = {e.child for e in g.edges if e.parent == n.id}
-        if kids:
-            out.append((n.id, kids))
-    return out
+    kids = {}
+    for parent, child, _ in g.edges:  # sorted by parent id
+        kids.setdefault(parent, set()).add(child)
+    return list(kids.items())
 
 
 def topological_order(g: QDG) -> list[str]:
@@ -300,11 +274,30 @@ def cluster(g: QDG) -> QuestionCluster:
     return QuestionCluster(main=main, subs=subs, graph=g)
 
 
-def load_jsonl(text: str) -> list[QDG]:
-    """Parse a JSONL stream of graphs; blank lines ignored."""
-    graphs = []
-    for line in text.splitlines():
+# json.loads per line also runs a whitespace regex twice and a bounds check;
+# the lines here are already stripped, so the scanner alone decides
+_scan_once = json.JSONDecoder().scan_once
+
+
+def iter_jsonl(text: str):
+    """Yield (line number, decoded value) for each non-blank line.
+
+    Lines end at "\\n" only: U+0085, U+2028 and U+2029 may stand unescaped
+    inside JSON strings.  A line that does not hold exactly one JSON value
+    raises json's own error for that line.
+    """
+    for number, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if line:
-            graphs.append(parse_and_validate(line))
-    return graphs
+            try:
+                value, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):
+                value = json.loads(line)
+            yield number, value
+
+
+def load_jsonl(text: str) -> list[QDG]:
+    """Parse a JSONL stream of graphs; blank lines ignored."""
+    return [from_dict(raw) for _, raw in iter_jsonl(text)]

@@ -263,6 +263,90 @@ def test_eval_node_id_in_two_graphs_exits_1(tmp_path):
     assert "'copy'" in payload["message"]
 
 
+SEPARATORS = "\x85\u2028\u2029"  # str.splitlines() breaks on these
+
+
+def validate_and_eval_with_separators(tmp_path, ensure_ascii):
+    """Row-1 fixture with the separators in every node text and every
+    prediction; returns validate's stdout and eval's report."""
+    graphs, preds = row1_fixture_graphs_and_preds()
+    docs = [qdg.to_dict(g) for g in graphs]
+    for doc in docs:
+        for n in doc["nodes"]:
+            n["text"] = f"{SEPARATORS}{n['text']}{SEPARATORS}"
+    tmp_path.mkdir()
+    gpath, gold, pred = (tmp_path / f"{name}.jsonl"
+                         for name in ("graphs", "gold", "pred"))
+    gpath.write_text("".join(
+        json.dumps(doc, ensure_ascii=ensure_ascii) + "\n" for doc in docs))
+    gold.write_text("".join(
+        json.dumps({"id": n.id, "answer": n.gold_answer}) + "\n"
+        for g in graphs for n in g.nodes))
+    pred.write_text("".join(
+        json.dumps({"id": nid, "answer": f"{ans}{SEPARATORS}"},
+                   ensure_ascii=ensure_ascii) + "\n"
+        for nid, ans in preds.items()))
+    assert (SEPARATORS in pred.read_text()) == (not ensure_ascii)
+    validated = RUNNER.invoke(main, ["validate", str(gpath)])
+    assert validated.exit_code == 0, validated.output
+    out = tmp_path / "report.json"
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(gpath), "--gold", str(gold),
+        "--pred", str(pred), "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    return validated.stdout, out.read_text()
+
+
+def test_unescaped_line_separators_inside_strings_parse(tmp_path):
+    """JSONL lines end at "\\n" only: the same data with the separators
+    written raw or escaped validates and scores the same."""
+    raw = validate_and_eval_with_separators(tmp_path / "raw", False)
+    escaped = validate_and_eval_with_separators(tmp_path / "escaped", True)
+    assert raw == escaped
+
+
+@pytest.mark.parametrize("which", ["graphs", "gold", "pred"])
+@pytest.mark.parametrize("line", [
+    "nope",
+    '{"id": "a", "answer": "b"',
+    '{"id": "a", "answer": "b"}}',
+    '{"id": "a", "answer": "b"} {"id": "c", "answer": "d"}',
+    '{"id": "a", "answer": "b"}{"id": "c", "answer": "d"}',
+    '{"id": "a", "answer": "b\u0001"}',
+    '\ufeff{"id": "a", "answer": "b"}',
+], ids=["bare_word", "unclosed", "extra_brace", "two_objects",
+        "two_objects_no_space", "control_char", "bom"])
+def test_eval_bad_json_line_exits_1_with_json_error(tmp_path, which, line):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(line)
+    files = dict(zip(("graphs", "gold", "pred"), write_row1_fixture(tmp_path)))
+    files[which].write_text(files[which].read_text() + line + "\n")
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(files["graphs"]), "--gold",
+        str(files["gold"]), "--pred", str(files["pred"]),
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {
+        "error": "JSONDecodeError", "message": str(expected.value)}
+
+
+@pytest.mark.parametrize("which", ["graphs", "gold", "pred"])
+def test_non_utf8_file_exits_1_with_json_error(tmp_path, which):
+    files = dict(zip(("graphs", "gold", "pred"), write_row1_fixture(tmp_path)))
+    files[which].write_bytes(files[which].read_bytes() + b"\xff\n")
+    commands = [["eval", "--graphs", str(files["graphs"]), "--gold",
+                 str(files["gold"]), "--pred", str(files["pred"]),
+                 "--out", str(tmp_path / "r.json")]]
+    if which == "graphs":
+        commands.append(["validate", str(files["graphs"])])
+    for command in commands:
+        result = RUNNER.invoke(main, command)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"] == "UnicodeDecodeError"
+
+
 def tiny_run_config(tmp_path, **kw):
     from qdqa.synth import SyntheticConfig
     from qdqa.train import RunConfig

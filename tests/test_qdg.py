@@ -234,3 +234,92 @@ def test_cluster_ordering():
     c = qdg.cluster(g)
     assert c.main.id == "m"
     assert [s.id for s in c.subs] == ["s2", "s1"]
+
+
+def edge(parent, child, op="Conjunction"):
+    return {"parent": parent, "child": child, "op": op}
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    ([node("m", role="main"), node("s"), node("s", text="again?")],
+     [edge("m", "s")], "duplicate node ids"),
+    ([node("m", role="main"), node("")], [edge("m", "")], "empty node id"),
+    ([node("m", role="main"), node("s", kind="ternary")], [edge("m", "s")],
+     "bad kind 'ternary' on node s"),
+    ([node("m", role="main"), node("s", role="root")], [edge("m", "s")],
+     "bad role 'root' on node s"),
+    ([node("m", role="main"), node("s")], [edge("m", "s"), edge("s", "s")],
+     "self-loop on s"),
+    ([node("m", role="main"), node("s")], [edge("m", "s"), edge("m", "s")],
+     "duplicate edge m->s"),
+    ([node("m"), node("s")], [edge("m", "s")], "root m must have role=main"),
+    ([node("m", role="main"), {"id": "s", "kind": "open", "role": "leaf"}],
+     [edge("m", "s")], "malformed document: 'text'"),
+    ([node("m", role="main"), node("s")], [{"parent": "m", "child": "s"}],
+     "malformed document: 'op'"),
+], ids=["duplicate_id", "empty_id", "bad_kind", "bad_role", "self_loop",
+        "duplicate_edge", "root_not_main", "node_missing_key",
+        "edge_missing_key"])
+def test_from_dict_rejection_type_and_message(nodes, edges, message):
+    with pytest.raises(qdg.QdgError) as info:
+        qdg.from_dict(json.loads(make_doc(nodes, edges)))
+    assert type(info.value) is qdg.QdgError
+    assert str(info.value) == message
+    assert info.value.graph_id == "g0"
+
+
+def has_cycle(n, edges):
+    """Brute force: some node reaches itself through one or more edges."""
+    adj = {i: [c for p, c in edges if p == i] for i in range(n)}
+    for start in range(n):
+        seen, stack = set(), list(adj[start])
+        while stack:
+            u = stack.pop()
+            if u == start:
+                return True
+            if u not in seen:
+                seen.add(u)
+                stack.extend(adj[u])
+    return False
+
+
+@st.composite
+def single_source_digraphs(draw):
+    """Digraphs over 1-8 nodes whose only in-degree-0 node is node 0: every
+    other node gets at least one parent, and parents may come from anywhere,
+    so cycles (also ones the root cannot reach) are common."""
+    n = draw(st.integers(1, 8))
+    edges = {
+        (p, c)
+        for c in range(1, n)
+        for p in draw(st.sets(
+            st.sampled_from([p for p in range(n) if p != c]),
+            min_size=1, max_size=3))
+    }
+    names = draw(st.permutations([f"q{i}" for i in range(n)]))
+    order = draw(st.permutations(sorted(edges)))
+    return n, names, list(order)
+
+
+@given(graph=single_source_digraphs())
+@settings(max_examples=300, deadline=None)
+def test_single_root_digraph_is_rejected_exactly_when_cyclic(graph):
+    n, names, edges = graph
+    nodes = [node(names[i], role="main" if i == 0 else "leaf")
+             for i in range(n)]
+    doc = json.loads(make_doc(nodes, [edge(names[p], names[c])
+                                      for p, c in edges]))
+    if has_cycle(n, edges):
+        with pytest.raises(qdg.CycleError) as info:
+            qdg.from_dict(doc)
+        assert str(info.value) == "edge set contains a directed cycle"
+        return
+    g = qdg.from_dict(doc)
+    assert g.root.id == names[0]
+    reached, stack = set(), [g.root.id]
+    while stack:
+        u = stack.pop()
+        if u not in reached:
+            reached.add(u)
+            stack.extend(e.child for e in g.edges if e.parent == u)
+    assert reached == set(names)
