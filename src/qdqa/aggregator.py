@@ -132,21 +132,20 @@ def edge_triplet_loss(edge_reprs, margin: float, rng) -> Tensor:
     by_type: dict[str, list[int]] = {}
     for i, (etype, _) in enumerate(edge_reprs):
         by_type.setdefault(etype, []).append(i)
+    # per type: (its edges, in index order; the edges of every other type)
+    pools = {t: (same, [j for u, idxs in by_type.items() if u != t
+                        for j in idxs])
+             for t, same in by_type.items()}
     terms = []
     for i, (etype, vec) in enumerate(edge_reprs):
-        same = [j for j in by_type[etype] if j != i]
-        other = [j for t, idxs in by_type.items() if t != etype
-                 for j in idxs]
-        if not same or not other:
+        same, other = pools[etype]
+        if len(same) < 2 or not other:
             continue
-        pos = edge_reprs[same[int(rng.integers(len(same)))]][1]
+        # the k-th edge of `same` other than edge i (`same` is ascending)
+        k = int(rng.integers(len(same) - 1))
+        pos = edge_reprs[same[k] if same[k] < i else same[k + 1]][1]
         neg = edge_reprs[other[int(rng.integers(len(other)))]][1]
-        gap = ad.add(
-            ad.add(ad.euclidean_distance(vec, pos),
-                   ad.mul(ad.euclidean_distance(vec, neg), -1.0)),
-            margin,
-        )
-        terms.append(ad.relu(gap))
+        terms.append(ad.triplet_hinge(vec, pos, neg, margin))
     if not terms:
         return Tensor(0.0)
     return ad.mul(ad.reduce_sum(ad.stack(terms)), 1.0 / len(edge_reprs))

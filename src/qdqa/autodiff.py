@@ -11,6 +11,14 @@ order (`acc + pg`, never in place).  Float addition is not associative, so
 any other order changes gradient bits, and through training the bytes of
 every report; a backward closure may return None for a parent that neither
 requires grad nor has parents, because the walk would discard it anyway.
+
+Fusion rule: a chain of ops may become one tape node (`linear`,
+`softmax_cross_entropy`, `triplet_hinge`) only where each intermediate has
+a single consumer, so no gradient sum inside the chain is reordered.  The
+fused node repeats the chain's numpy operations in the same order, and
+lists its parents in the order the chain's nodes reach them (a parent the
+chain reaches twice is listed twice); the walk then adds every gradient in
+the chain's order, and values and gradients match bit for bit.
 """
 
 from __future__ import annotations
@@ -158,13 +166,11 @@ def _needs_grad(t: Tensor) -> bool:
 
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    needs = any(
-        p.requires_grad or p._backward is not None or p._parents
-        for p in parents
-    )
-    if needs:
-        out._parents = tuple(parents)
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad or p._backward is not None or p._parents:
+            out._parents = tuple(parents)
+            out._backward = backward
+            break
     return out
 
 
@@ -402,12 +408,17 @@ def softmax(a, axis=-1) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def log_softmax(a, axis=-1) -> Tensor:
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def _log_softmax(x: np.ndarray, axis):
+    """(log softmax, softmax) of array x over axis."""
+    shifted = x - x.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
-    sm = np.exp(data)
+    return data, np.exp(data)
+
+
+def log_softmax(a, axis=-1) -> Tensor:
+    a = _as_tensor(a)
+    data, sm = _log_softmax(a.data, axis)
 
     def backward(g):
         return (g - sm * g.sum(axis=axis, keepdims=True),)
@@ -433,17 +444,43 @@ def layer_norm(a, eps=1e-6) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def _distance(a: np.ndarray, b: np.ndarray, eps=1e-12):
+    """(a - b, sqrt(sum((a - b)^2) + eps)) of arrays a and b."""
+    diff = a - b
+    return diff, np.sqrt((diff ** 2).sum() + eps)
+
+
 def euclidean_distance(a, b, eps=1e-12) -> Tensor:
     """d(a, b) = sqrt(sum((a - b)^2) + eps); grad is 0 at coincident points."""
     a, b = _as_tensor(a), _as_tensor(b)
-    diff = a.data - b.data
-    data = np.sqrt((diff ** 2).sum() + eps)
+    diff, data = _distance(a.data, b.data, eps)
 
     def backward(g):
         ga = g * diff / data
         return (ga, -ga)
 
     return _make(data, (a, b), backward)
+
+
+def triplet_hinge(a, pos, neg, margin: float) -> Tensor:
+    """relu(d(a, pos) - d(a, neg) + margin) as one tape node, bit for bit
+    equal to the chain relu(add(add(d(a, pos), mul(d(a, neg), -1.0)),
+    margin)) of `euclidean_distance` in value and gradients.  Its parents
+    are (a, pos, a, neg), the order in which the chain's two distances
+    reach them."""
+    a, pos, neg = _as_tensor(a), _as_tensor(pos), _as_tensor(neg)
+    diff1, d1 = _distance(a.data, pos.data)
+    diff2, d2 = _distance(a.data, neg.data)
+    gap = d1 + d2 * -1.0 + margin
+    mask = gap > 0
+
+    def backward(g):
+        g = g * mask
+        ga1 = g * diff1 / d1
+        ga2 = g * -1.0 * diff2 / d2
+        return (ga1, -ga1, ga2, -ga2)
+
+    return _make(gap * mask, (a, pos, a, neg), backward)
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -461,12 +498,20 @@ def embedding_lookup(table, indices) -> Tensor:
 
 
 def softmax_cross_entropy(logits, target: int) -> Tensor:
-    """-log softmax(logits)[target] for a 1-d logits vector."""
+    """-log softmax(logits)[target] for a 1-d logits vector, as one tape
+    node bit for bit equal to mul(log_softmax(logits)[target], -1.0)."""
     logits = _as_tensor(logits)
     k = logits.data.shape[-1]
     if not 0 <= target < k:
         raise IndexError(f"target {target} out of range for {k} classes")
-    return mul(log_softmax(logits, axis=-1)[target], -1.0)
+    lp, sm = _log_softmax(logits.data, -1)
+
+    def backward(g):
+        out = np.zeros_like(lp)
+        out[target] += g * -1.0
+        return (out - sm * out.sum(axis=-1, keepdims=True),)
+
+    return _make(lp[target] * -1.0, (logits,), backward)
 
 
 def softmax_cross_entropy_batch(logits, targets) -> Tensor:
@@ -592,6 +637,12 @@ class ParamStore:
         path = Path(path)
         meta = json.loads((path / "manifest.json").read_text())
         blob = (path / "params.bin").read_bytes()
+        need = max((e["offset"] + 8 * int(np.prod(e["shape"]))
+                    for e in meta["tensors"]), default=0)
+        if len(blob) != need:
+            raise ShapeError(
+                f"{path / 'params.bin'} holds {len(blob)} bytes, but its "
+                f"manifest describes {need}")
         store = cls(seed=meta["seed"])
         for entry in meta["tensors"]:
             shape = tuple(entry["shape"])

@@ -284,17 +284,22 @@ def iter_jsonl(text: str):
 
     Lines end at "\\n" only: U+0085, U+2028 and U+2029 may stand unescaped
     inside JSON strings.  A line that does not hold exactly one JSON value
-    raises json's own error for that line.
+    raises json's own error for that line, and one nested too deeply for
+    the decoder's recursion raises ValueError.
     """
     for number, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if line:
             try:
                 value, end = _scan_once(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end != len(line):
-                value = json.loads(line)
+                try:
+                    value = json.loads(line)
+                except RecursionError:
+                    raise ValueError(
+                        f"line {number}: JSON nested too deeply") from None
             yield number, value
 
 

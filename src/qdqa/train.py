@@ -378,16 +378,27 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
     return predictions, relevance
 
 
+# repr(config) -> {parameter name: shape} of init_params(config); the repr
+# names every field's value, and a process sees few distinct configs
+_PARAM_SHAPES: dict[str, dict] = {}
+
+
 def _check_dims(store: ParamStore, config: RunConfig):
     """Every parameter the config's model reads must be in the store with
-    the shape init_params gives it; extra parameters are allowed."""
-    for name, want in init_params(config).params.items():
+    the shape init_params gives it; extra parameters are allowed.  The
+    shapes come from one init_params call per distinct config."""
+    key = repr(config)
+    shapes = _PARAM_SHAPES.get(key)
+    if shapes is None:
+        shapes = _PARAM_SHAPES[key] = {
+            name: t.shape for name, t in init_params(config).params.items()}
+    for name, want in shapes.items():
         if name not in store:
             raise ShapeError(f"checkpoint has no parameter {name!r}")
-        if store[name].shape != want.shape:
+        if store[name].shape != want:
             raise ShapeError(
                 f"checkpoint parameter {name!r} has shape "
-                f"{store[name].shape}, expected {want.shape}"
+                f"{store[name].shape}, expected {want}"
             )
 
 

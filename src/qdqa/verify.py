@@ -93,6 +93,21 @@ def check_linear(seed: int) -> float:
     return ad.grad_check(fn, inputs)
 
 
+def check_ce(seed: int) -> float:
+    """softmax_cross_entropy at every target of one logits vector."""
+    rng = np.random.default_rng([seed, 12])
+    k = 5
+    logits = Tensor(rng.normal(size=k) * 2.0)
+    weights = rng.normal(size=k)
+
+    def fn(inputs):
+        return ad.reduce_sum(ad.stack(
+            [ad.mul(ad.softmax_cross_entropy(inputs[0], t), weights[t])
+             for t in range(k)]))
+
+    return ad.grad_check(fn, [logits])
+
+
 def check_hierarchy(seed: int) -> float:
     """Object and frame aggregation stages end to end."""
     rng = np.random.default_rng([seed, 2])
@@ -206,6 +221,7 @@ def check_gat_stacked(seed: int) -> float:
 
 
 def check_triplet(seed: int) -> float:
+    """edge_triplet_loss, one triplet_hinge per edge."""
     rng = np.random.default_rng([seed, 5])
     reprs = [(t, Tensor(rng.normal(size=4), requires_grad=True))
              for t in ("Conjunction", "Conjunction", "Equals", "Equals")]
@@ -306,7 +322,8 @@ def check_total_losses(seed: int) -> float:
 SUITES = {
     "autodiff": (("transformer", check_transformer),
                  ("plumbing", check_plumbing),
-                 ("linear", check_linear)),
+                 ("linear", check_linear),
+                 ("ce", check_ce)),
     "aligner": (("hierarchy", check_hierarchy),
                 ("contrastive", check_contrastive)),
     "aggregator": (("gat_head", check_gat_head),

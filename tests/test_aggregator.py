@@ -241,6 +241,80 @@ class TestEdgeTripletLoss:
             )
             assert loss.item() >= 0.0
 
+    @staticmethod
+    def reference_triples(types, rng):
+        """(anchor, pos, neg) edge indices sampled with the candidate lists
+        rebuilt for every edge, straight-line: the reference for the draws
+        of edge_triplet_loss."""
+        by_type = {}
+        for i, etype in enumerate(types):
+            by_type.setdefault(etype, []).append(i)
+        pairs = []
+        for i, etype in enumerate(types):
+            same = [j for j in by_type[etype] if j != i]
+            other = [j for t, idxs in by_type.items() if t != etype
+                     for j in idxs]
+            if not same or not other:
+                continue
+            pos = same[int(rng.integers(len(same)))]
+            neg = other[int(rng.integers(len(other)))]
+            pairs.append((i, pos, neg))
+        return pairs
+
+    def test_sampled_pairs_match_the_per_edge_candidate_code(self,
+                                                             monkeypatch):
+        seen = []
+        real = ad.triplet_hinge
+
+        def recording(a, pos, neg, margin):
+            seen.append((a, pos, neg))
+            return real(a, pos, neg, margin)
+
+        monkeypatch.setattr(aggregator.ad, "triplet_hinge", recording)
+        layouts = np.random.default_rng(41)
+        for trial in range(60):
+            n = int(layouts.integers(1, 12))
+            types = list(layouts.choice(["A", "B", "C", "D"][:1 + trial % 4],
+                                        size=n))
+            reprs = self.fixed_reprs([(t, [float(i)])
+                                      for i, t in enumerate(types)])
+            index = {id(v): i for i, (_, v) in enumerate(reprs)}
+            seen.clear()
+            aggregator.edge_triplet_loss(reprs, 1.0,
+                                         np.random.default_rng(trial))
+            got = [tuple(index[id(v)] for v in triple) for triple in seen]
+            assert got == self.reference_triples(
+                types, np.random.default_rng(trial)), types
+
+    def test_loss_and_gradients_match_the_op_chain_bytes(self):
+        """Edge vectors that share parameters and inputs, so every
+        gradient sum depends on the order of the walk."""
+        rng = np.random.default_rng(42)
+        types = ["A", "B", "A", "C", "B", "A", "C", "A"]
+        data = [rng.normal(size=(len(types), 3)), rng.normal(size=(3, 4)),
+                rng.normal(size=4)]
+
+        def run(loss_fn):
+            base, w, b = (Tensor(x.copy(), requires_grad=True) for x in data)
+            reprs = [(t, ad.linear(base[i], w, b))
+                     for i, t in enumerate(types)]
+            loss = loss_fn(reprs)
+            loss.backward()
+            return [loss.data.tobytes()] + [t.grad.tobytes()
+                                            for t in (base, w, b)]
+
+        def chain_loss(reprs):
+            pairs = self.reference_triples(types, np.random.default_rng(5))
+            terms = [ad.relu(ad.add(
+                ad.add(ad.euclidean_distance(reprs[i][1], reprs[p][1]),
+                       ad.mul(ad.euclidean_distance(reprs[i][1],
+                                                    reprs[q][1]), -1.0)),
+                0.8)) for i, p, q in pairs]
+            return ad.mul(ad.reduce_sum(ad.stack(terms)), 1.0 / len(types))
+
+        assert run(lambda reprs: aggregator.edge_triplet_loss(
+            reprs, 0.8, np.random.default_rng(5))) == run(chain_loss)
+
     @pytest.mark.parametrize("seed", [14, 15, 16])
     def test_gradient(self, seed):
         rng_data = np.random.default_rng(seed)

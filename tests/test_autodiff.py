@@ -141,6 +141,88 @@ class TestCrossEntropy:
         assert batch == pytest.approx(loop, abs=1e-12)
 
 
+def chain_ce(logits, target):
+    """softmax_cross_entropy as a chain of primitives: the reference its
+    single node must match bit for bit."""
+    return ad.mul(ad.log_softmax(logits, axis=-1)[target], -1.0)
+
+
+def chain_hinge(a, pos, neg, margin):
+    """triplet_hinge as a chain of primitives: the reference its single
+    node must match bit for bit."""
+    return ad.relu(ad.add(
+        ad.add(ad.euclidean_distance(a, pos),
+               ad.mul(ad.euclidean_distance(a, neg), -1.0)),
+        margin))
+
+
+def value_and_grad_bytes(build, arrays, upstream):
+    """Bytes of build(*leaves) and of every leaf's gradient, with the
+    output's gradient set to `upstream` through a constant factor."""
+    leaves = [Tensor(x.copy(), requires_grad=True) for x in arrays]
+    out = build(*leaves)
+    ad.mul(out, upstream).backward()
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+class TestFusedExactness:
+    """The fused nodes against the op chains they replace, byte for byte."""
+
+    @pytest.mark.parametrize("upstream", [1.0, -0.37])
+    def test_ce_every_target(self, upstream):
+        rng = np.random.default_rng(31)
+        for logits in (rng.normal(size=7) * 3, np.zeros(7),
+                       np.array([40.0, -3.0, 0.0, 0.0, 1e-3, 2.0, -40.0])):
+            for target in range(7):
+                fused = value_and_grad_bytes(
+                    lambda x: ad.softmax_cross_entropy(x, target), [logits],
+                    upstream)
+                chain = value_and_grad_bytes(
+                    lambda x: chain_ce(x, target), [logits], upstream)
+                assert fused == chain, target
+
+    HINGES = {
+        "active": ([0.3, -1.2, 0.8], [1.5, 0.2, -0.4], [0.1, -1.0, 0.9],
+                   1.0),
+        "inactive": ([0.3, -1.2, 0.8], [0.2, -1.1, 0.8], [4.0, 3.0, -2.0],
+                     0.5),
+        "gap_exactly_zero": ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], 0.0),
+        "anchor_on_positive": ([0.5, 0.5], [0.5, 0.5], [0.9, 0.5], 1.0),
+        "anchor_on_negative": ([0.5, 0.5], [-1.0, 2.0], [0.5, 0.5], 1.0),
+        "all_coincident": ([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], 0.2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HINGES))
+    @pytest.mark.parametrize("upstream", [1.0, -0.37])
+    def test_hinge(self, case, upstream):
+        *points, margin = self.HINGES[case]
+        arrays = [np.asarray(p, dtype=float) for p in points]
+        fused = value_and_grad_bytes(
+            lambda a, p, n: ad.triplet_hinge(a, p, n, margin), arrays,
+            upstream)
+        chain = value_and_grad_bytes(
+            lambda a, p, n: chain_hinge(a, p, n, margin), arrays, upstream)
+        assert fused == chain
+
+    def test_hinge_gap_sign_matches_case(self):
+        for case, (a, p, n, margin) in self.HINGES.items():
+            gap = ad.triplet_hinge(Tensor(a), Tensor(p), Tensor(n), margin)
+            assert (gap.item() > 0) == (case not in ("inactive",
+                                                     "gap_exactly_zero")), case
+
+    def test_hinge_lists_the_anchor_twice(self):
+        a, p, n = (rand_tensor(3) for _ in range(3))
+        out = ad.triplet_hinge(a, p, n, 1.0)
+        assert out._parents == (a, p, a, n)
+
+    def test_constant_inputs_record_no_tape(self):
+        out = ad.triplet_hinge(Tensor([1.0]), Tensor([2.0]), Tensor([4.0]),
+                               1.0)
+        assert out._parents == () and out._backward is None
+        assert ad.softmax_cross_entropy(Tensor(np.zeros(3)), 1)._parents \
+            == ()
+
+
 def reference_backward(loss):
     """The walk `Tensor.backward` used when it keyed on id(): DFS
     post-order from the loss, gradients summed in reverse of it."""
@@ -518,6 +600,19 @@ class TestParamStore:
         for name in store.names():
             np.testing.assert_array_equal(loaded[name].data,
                                           store[name].data)
+
+    @pytest.mark.parametrize("change", ["short", "trailing", "empty"])
+    def test_params_bin_of_the_wrong_size_raises(self, tmp_path, change):
+        store = ad.ParamStore(7)
+        store.add("alpha", (3, 2))
+        store.add("beta", (4,))
+        store.save(tmp_path / "ckpt")
+        blob_path = tmp_path / "ckpt" / "params.bin"
+        blob = blob_path.read_bytes()
+        blob_path.write_bytes({"short": blob[:-8], "trailing": blob + b"\0",
+                               "empty": b""}[change])
+        with pytest.raises(ad.ShapeError, match="params.bin"):
+            ad.ParamStore.load(tmp_path / "ckpt")
 
 
 @given(

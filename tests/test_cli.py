@@ -347,6 +347,27 @@ def test_non_utf8_file_exits_1_with_json_error(tmp_path, which):
         assert json.loads(result.stderr)["error"] == "UnicodeDecodeError"
 
 
+@pytest.mark.parametrize("which", ["graphs", "gold", "pred"])
+@pytest.mark.parametrize("nest", ["[" * 100_000, '{"a":' * 100_000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_line_exits_1_with_json_error(tmp_path, which, nest):
+    files = dict(zip(("graphs", "gold", "pred"), write_row1_fixture(tmp_path)))
+    text = files[which].read_text()
+    files[which].write_text(text + nest + "\n")
+    line = len(text.split("\n"))
+    commands = [["eval", "--graphs", str(files["graphs"]), "--gold",
+                 str(files["gold"]), "--pred", str(files["pred"]),
+                 "--out", str(tmp_path / "r.json")]]
+    if which == "graphs":
+        commands.append(["validate", str(files["graphs"])])
+    for command in commands:
+        result = RUNNER.invoke(main, command)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "ValueError",
+            "message": f"line {line}: JSON nested too deeply"}
+
+
 def tiny_run_config(tmp_path, **kw):
     from qdqa.synth import SyntheticConfig
     from qdqa.train import RunConfig

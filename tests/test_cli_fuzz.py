@@ -1,4 +1,5 @@
-"""Fuzz `qdqa validate` and `qdqa eval` with mutated graph and answer files:
+"""Fuzz `qdqa validate` and `qdqa eval` with mutated graph and answer files
+(one mutation inserts a line nested too deeply to decode):
 every run exits 0 or 1, exit 1 prints one JSON object naming the error on
 stderr, and no run ends in an uncaught exception."""
 
@@ -40,18 +41,24 @@ def text_edit(draw, text):
     return text[:at] + "".join(add) + text[at + cut:]
 
 
+# deeper than the json decoder's recursion allows
+DEEP_LINE = "[" * 100_000
+
+
 def line_edit(draw, text):
-    """Drop, repeat or swap whole lines."""
+    """Drop, repeat, swap or insert whole lines."""
     lines = text.split("\n")
     i = draw(st.integers(0, len(lines) - 1))
     j = draw(st.integers(0, len(lines) - 1))
-    how = draw(st.sampled_from(["drop", "repeat", "swap"]))
+    how = draw(st.sampled_from(["drop", "repeat", "swap", "deep"]))
     if how == "drop":
         del lines[i]
     elif how == "repeat":
         lines.insert(j, lines[i])
-    else:
+    elif how == "swap":
         lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines.insert(j, DEEP_LINE)
     return "\n".join(lines)
 
 
@@ -61,7 +68,7 @@ def value_edit(draw, text):
     i = draw(st.integers(0, len(lines) - 1))
     try:
         doc = json.loads(lines[i])
-    except ValueError:
+    except (ValueError, RecursionError):
         return text
     parent, key = None, None
     node = doc
