@@ -12,7 +12,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tensor
-from .metrics import MissingGoldError
 from .qdg import QDG
 
 MASK_OFF = -1e9
@@ -151,17 +150,13 @@ def edge_triplet_loss(edge_reprs, margin: float, rng) -> Tensor:
     return ad.mul(ad.reduce_sum(ad.stack(terms)), 1.0 / len(edge_reprs))
 
 
-def aggregation_loss(clusters, triplet: Tensor, vocab_index: dict) -> Tensor:
-    """Triplet term plus mean answer CE over every node of every cluster.
+def aggregation_loss(node_logits, targets, triplet: Tensor) -> Tensor:
+    """Triplet term plus mean answer CE over nodes.
 
-    clusters: iterable of (QDG, map node id -> logits Tensor).
+    node_logits: one [vocab] logits Tensor per node; targets: their gold
+    vocab ids, in the same order.
     """
-    ces = []
-    for g, logits in clusters:
-        for node in g.nodes:
-            if node.gold_answer is None:
-                raise MissingGoldError(node.id)
-            target = vocab_index[node.gold_answer.strip().casefold()]
-            ces.append(ad.softmax_cross_entropy(logits[node.id], target))
+    ces = [ad.softmax_cross_entropy(logits, target)
+           for logits, target in zip(node_logits, targets, strict=True)]
     ce = ad.mul(ad.reduce_sum(ad.stack(ces)), 1.0 / len(ces))
     return ad.add(triplet, ce)

@@ -23,16 +23,26 @@ def _fail(error: Exception, **extra):
 
 
 @click.group()
-@click.option("--threads", type=int, default=1, show_default=True,
+@click.option("--threads", type=click.IntRange(min=1), default=1,
+              show_default=True,
               help="Worker thread budget; accepted but not yet applied. "
                    "BLAS threads follow OPENBLAS_NUM_THREADS / "
                    "OMP_NUM_THREADS.")
 @click.pass_context
 def main(ctx, threads):
     """Decomposition-graph VidQA toolkit."""
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     ctx.obj = {"threads": threads}
+
+
+def _load(loader, path: str):
+    """`loader` on the text of `path`; its line errors name the file."""
+    text = Path(path).read_text()
+    try:
+        return loader(text)
+    except ValueError as exc:  # json's own errors are ValueErrors too
+        if not isinstance(exc, QdgError):
+            exc.args = (f"{path}: {exc}",)
+        raise
 
 
 @main.command()
@@ -40,7 +50,7 @@ def main(ctx, threads):
 def validate(graphs):
     """Parse and validate a JSONL file of decomposition graphs."""
     try:
-        parsed = qdg.load_jsonl(Path(graphs).read_text())
+        parsed = _load(qdg.load_jsonl, graphs)
     except QdgError as exc:
         _fail(exc, graph_id=getattr(exc, "graph_id", None))
     except (json.JSONDecodeError, ValueError) as exc:
@@ -94,11 +104,11 @@ def _check_ids_known(owner: dict, answers: dict, path: str):
 def eval_cmd(graphs, gold, pred, beta, out):
     """Consistency metrics for predictions against gold answers."""
     try:
-        graph_list = qdg.load_jsonl(Path(graphs).read_text())
+        graph_list = _load(qdg.load_jsonl, graphs)
         owner = _check_ids_unique(graph_list)
-        gold_map = metrics.load_predictions_jsonl(Path(gold).read_text())
+        gold_map = _load(metrics.load_predictions_jsonl, gold)
         _check_ids_known(owner, gold_map, gold)
-        predictions = metrics.load_predictions_jsonl(Path(pred).read_text())
+        predictions = _load(metrics.load_predictions_jsonl, pred)
         _check_ids_known(owner, predictions, pred)
         # in place, so each parsed graph is freed as its copy replaces it
         for i, g in enumerate(graph_list):
@@ -106,7 +116,7 @@ def eval_cmd(graphs, gold, pred, beta, out):
         report = metrics.full_report(graph_list, predictions, beta)
     except (QdgError, KeyError, ValueError, json.JSONDecodeError) as exc:
         _fail(exc)
-    Path(out).write_text(metrics.emit_report(report, "json"))
+    Path(out).write_text(metrics.emit_report(report))
     click.echo(json.dumps({"status": "ok", "out": out}))
 
 
@@ -153,7 +163,8 @@ def ablate_cmd(config_path, out):
 @click.option("--module", default="all", show_default=True,
               type=click.Choice(["all", "autodiff", "aligner", "aggregator",
                                  "train"]))
-@click.option("--instances", type=int, default=3, show_default=True)
+@click.option("--instances", type=click.IntRange(min=1), default=3,
+              show_default=True)
 def gradcheck(module, instances):
     """Finite-difference checks over the composite operations."""
     from . import verify
@@ -175,7 +186,8 @@ def gradcheck(module, instances):
 @click.option("--questions", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="One question per line.")
-@click.option("--k", type=int, default=3, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), default=3,
+              show_default=True)
 @click.option("--stub", type=click.Path(exists=True, dir_okay=False),
               help="Deterministic completion fixture instead of the HTTP "
                    "endpoint (QDQA_LLM_ENDPOINT / QDQA_LLM_API_KEY).")

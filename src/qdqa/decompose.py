@@ -45,6 +45,15 @@ class DecompositionParseError(DecompositionError):
     pass
 
 
+def _load_json(text: str, what: str):
+    """json.loads, with a document nested too deeply for the decoder's
+    recursion raising ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what}: JSON nested too deeply") from None
+
+
 @dataclass
 class ExampleBank:
     """Exemplar (question, graph) pairs grouped by main-question type."""
@@ -67,13 +76,17 @@ class ExampleBank:
 
     @classmethod
     def from_json(cls, text: str) -> "ExampleBank":
-        raw = json.loads(text)
-        groups = {}
-        for label, items in raw["groups"].items():
-            groups[label] = [
-                (item["question"], qdg.from_dict(item["graph"]))
-                for item in items
-            ]
+        """{"groups": {label: [{"question": str, "graph": QDG-JSON}]}};
+        any other shape raises ValueError."""
+        raw = _load_json(text, "example bank")
+        try:
+            groups = {label: [(item["question"], qdg.from_dict(item["graph"]))
+                              for item in items]
+                      for label, items in raw["groups"].items()}
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed example bank: {exc!r}") from None
+        if not all(isinstance(q, str) for g in groups.values() for q, _ in g):
+            raise ValueError("exemplar questions must be strings")
         return cls(groups=groups)
 
 
@@ -96,9 +109,19 @@ class StubClient:
 
     @classmethod
     def from_fixture(cls, path) -> "StubClient":
+        """{"table": {prompt: completion}, "responses": [completion]}, both
+        optional; any other shape raises ValueError."""
         with open(path) as fh:
-            raw = json.load(fh)
-        return cls(table=raw.get("table"), responses=raw.get("responses"))
+            raw = _load_json(fh.read(), "stub fixture")
+        if not isinstance(raw, dict):
+            raise ValueError("stub fixture must be an object")
+        table, responses = raw.get("table", {}), raw.get("responses", [])
+        if not (isinstance(table, dict) and isinstance(responses, list)
+                and all(isinstance(c, str)
+                        for c in [*table.values(), *responses])):
+            raise ValueError('stub fixture "table" must map prompts to '
+                             'strings and "responses" must list strings')
+        return cls(table=table, responses=responses)
 
     def complete(self, prompt: str) -> str:
         self.prompts.append(prompt)

@@ -7,8 +7,6 @@ with whether *all* direct children were answered correctly.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -54,14 +52,6 @@ class ConsistencyCounts:
     @property
     def total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
-
-    def __add__(self, other: "ConsistencyCounts") -> "ConsistencyCounts":
-        return ConsistencyCounts(
-            self.n_pp + other.n_pp,
-            self.n_pm + other.n_pm,
-            self.n_mp + other.n_mp,
-            self.n_mm + other.n_mm,
-        )
 
 
 @dataclass
@@ -131,8 +121,8 @@ def compute_metrics(counts: ConsistencyCounts, beta: float = 1.0) -> MetricsRepo
     percentages); rounding to 2 decimals happens only at emission.
     A zero denominator yields 0 and sets the metric's degenerate flag.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < float("inf"):  # also false for NaN
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     flags: list[str] = []
     ca = _ratio(counts.n_pp, counts.n_pp + counts.n_pm, "ca", flags)
     rwr = _ratio(counts.n_mp, counts.n_mp + counts.n_mm, "rwr", flags)
@@ -205,45 +195,22 @@ _METRIC_FIELDS = (
 )
 
 
-def _round2(x: float) -> float:
-    # Python's round is banker's (half-even) rounding.
-    return round(x, 2)
-
-
-def emit_report(report: MetricsReport, format: str = "json") -> str:
-    """Serialize a report with 2-decimal half-even rounding."""
-    if format == "json":
-        payload = {name: _round2(getattr(report, name)) for name in _METRIC_FIELDS}
-        payload["beta"] = report.beta
-        payload["accuracy"] = {
-            group: {k: _round2(v) for k, v in vals.items()}
-            for group, vals in report.accuracy.items()
-        }
-        payload["degenerate_flags"] = sorted(report.degenerate_flags)
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["metric", "value"])
-        beta_tag = ("%g" % report.beta).replace(".", "_")
-        for name in _METRIC_FIELDS:
-            label = name
-            if name == "c_f":
-                label = f"c_f{beta_tag}"
-            elif name == "nc_f":
-                label = f"nc_f{beta_tag}"
-            writer.writerow([label, "%.2f" % _round2(getattr(report, name))])
-        for group, vals in report.accuracy.items():
-            for k, v in vals.items():
-                writer.writerow([f"{group}_{k}", "%.2f" % _round2(v)])
-        writer.writerow(["degenerate_flags",
-                         ";".join(sorted(report.degenerate_flags))])
-        return buf.getvalue()
-    raise ValueError(f"unknown format {format!r}")
+def emit_report(report: MetricsReport) -> str:
+    """Serialize a report as JSON with 2-decimal half-even rounding
+    (Python's round)."""
+    payload = {name: round(getattr(report, name), 2)
+               for name in _METRIC_FIELDS}
+    payload["beta"] = report.beta
+    payload["accuracy"] = {
+        group: {k: round(v, 2) for k, v in vals.items()}
+        for group, vals in report.accuracy.items()
+    }
+    payload["degenerate_flags"] = sorted(report.degenerate_flags)
+    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
 def parse_report(text: str) -> MetricsReport:
-    """Inverse of emit_report(format='json') at report precision."""
+    """Inverse of emit_report at report precision."""
     raw = json.loads(text)
     report = MetricsReport(
         beta=raw["beta"],

@@ -1,4 +1,4 @@
-"""Question decomposition graphs: data model, parsing, validation, traversal.
+"""Question decomposition graphs: data model, parsing and validation.
 
 A decomposition graph is a DAG with a single root (the main question) whose
 edges point from a parent question to the simpler questions it decomposes
@@ -7,9 +7,8 @@ into.  Edges carry an operator label drawn from the graph's declared registry.
 
 from __future__ import annotations
 
-import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -63,25 +62,6 @@ class QDG:
     nodes: tuple[QuestionNode, ...]  # sorted by id
     edges: tuple[QdgEdge, ...]  # sorted by (parent, child)
     edge_types: tuple[str, ...]
-    _by_id: dict = field(default=None, repr=False, compare=False, hash=False)
-
-    def node(self, node_id: str) -> QuestionNode:
-        return self._by_id[node_id]
-
-    @property
-    def root(self) -> QuestionNode:
-        indeg = {n.id for n in self.nodes}
-        for e in self.edges:
-            indeg.discard(e.child)
-        (root_id,) = indeg
-        return self._by_id[root_id]
-
-
-@dataclass(frozen=True)
-class QuestionCluster:
-    main: QuestionNode
-    subs: tuple[QuestionNode, ...]
-    graph: QDG
 
 
 _node_id = attrgetter("id")
@@ -178,7 +158,6 @@ def _build(graph_id, video_id, nodes, edges, edge_types) -> QDG:
         nodes=tuple(sorted(nodes, key=_node_id)),
         edges=tuple(sorted(edges, key=_edge_ends)),
         edge_types=tuple(sorted(registry)),
-        _by_id=by_id,
     )
 
 
@@ -246,34 +225,6 @@ def first_order_pairs(g: QDG) -> list[tuple[str, set[str]]]:
     return list(kids.items())
 
 
-def topological_order(g: QDG) -> list[str]:
-    """Children-first order; ties broken by lexicographic id."""
-    outdeg = {n.id: 0 for n in g.nodes}
-    rev = {n.id: [] for n in g.nodes}  # child -> parents
-    for e in g.edges:
-        outdeg[e.parent] += 1
-        rev[e.child].append(e.parent)
-    heap = [i for i, d in outdeg.items() if d == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for p in rev[u]:
-            outdeg[p] -= 1
-            if outdeg[p] == 0:
-                heapq.heappush(heap, p)
-    return order
-
-
-def cluster(g: QDG) -> QuestionCluster:
-    """Main question plus its sub-questions in topological (children-first) order."""
-    main = g.root
-    order = topological_order(g)
-    subs = tuple(g.node(i) for i in order if i != main.id)
-    return QuestionCluster(main=main, subs=subs, graph=g)
-
-
 # json.loads per line also runs a whitespace regex twice and a bounds check;
 # the lines here are already stripped, so the scanner alone decides
 _scan_once = json.JSONDecoder().scan_once
@@ -284,8 +235,8 @@ def iter_jsonl(text: str):
 
     Lines end at "\\n" only: U+0085, U+2028 and U+2029 may stand unescaped
     inside JSON strings.  A line that does not hold exactly one JSON value
-    raises json's own error for that line, and one nested too deeply for
-    the decoder's recursion raises ValueError.
+    raises json's own error with "line N: " put before its message, and
+    one nested too deeply for the decoder's recursion raises ValueError.
     """
     for number, line in enumerate(text.split("\n"), 1):
         line = line.strip()
@@ -297,6 +248,9 @@ def iter_jsonl(text: str):
             if end != len(line):
                 try:
                     value = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    exc.args = (f"line {number}: {exc}",)
+                    raise
                 except RecursionError:
                     raise ValueError(
                         f"line {number}: JSON nested too deeply") from None

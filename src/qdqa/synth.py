@@ -11,16 +11,12 @@ parent's answer is decodable only by aggregating over its children.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aligner import VideoFeatures
-from .qdg import (QDG, VALID_ROLES, QuestionCluster, cluster, from_dict,
-                  to_dict)
+from .qdg import QDG, VALID_ROLES, from_dict
 
 OPEN_VOCAB = ("red", "blue", "green")
 BINARY_VOCAB = ("yes", "no")
@@ -94,27 +90,15 @@ class SyntheticConfig:
     def vocab_index(self) -> dict:
         return {a: i for i, a in enumerate(self.vocab)}
 
-    @property
-    def edge_types(self) -> tuple:
-        return tuple(sorted(OP_EDGE_TYPES.values()))
-
-    def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
 
 @dataclass
 class SyntheticInstance:
-    cluster: QuestionCluster
+    graph: QDG
     videos: dict  # node id -> VideoFeatures (that question's view)
     question_features: dict  # node id -> np.ndarray [n_q, h_q]
     gold: dict  # node id -> answer token
     planted_relevance: dict  # node id -> sorted clip index list
     program: dict  # parent id -> (op, ordered children ids)
-
-    @property
-    def graph(self) -> QDG:
-        return self.cluster.graph
 
 
 class SignalBank:
@@ -143,10 +127,6 @@ class SignalBank:
         self.position_emb = np.stack(
             [unit(rng.normal(size=config.h_q)) for _ in range(8)]
         )
-
-    def answer_logits(self, pooled: np.ndarray) -> np.ndarray:
-        """Oracle readout: similarity to each answer embedding."""
-        return pooled @ self.answer_emb.T
 
 
 def apply_program(op: str, child_answers: list[str]) -> str:
@@ -270,7 +250,6 @@ def generate_instance(config: SyntheticConfig, index: int,
     rng = np.random.default_rng([config.seed, 1, index])
     doc, program, gold = _build_graph(config, index, rng)
     graph = from_dict(doc)
-    clu = cluster(graph)
     vocab_index = config.vocab_index
 
     edge_info = {}
@@ -330,7 +309,7 @@ def generate_instance(config: SyntheticConfig, index: int,
         videos[node.id] = VideoFeatures(f_o, f_a, f_m)
 
     return SyntheticInstance(
-        cluster=clu,
+        graph=graph,
         videos=videos,
         question_features=question_features,
         gold=gold,
@@ -341,25 +320,9 @@ def generate_instance(config: SyntheticConfig, index: int,
 
 @dataclass
 class Dataset:
-    config: SyntheticConfig
     train: list
     validation: list
     test: list
-
-    @property
-    def manifest(self) -> dict:
-        n = self.config.clusters
-        n_train = int(n * 0.7)
-        n_val = int(n * 0.15)
-        return {
-            "seed": self.config.seed,
-            "config_hash": self.config.config_hash(),
-            "splits": {
-                "train": [0, n_train],
-                "validation": [n_train, n_train + n_val],
-                "test": [n_train + n_val, n],
-            },
-        }
 
 
 # the fewest clusters whose 70/15/15 split leaves no split empty
@@ -376,45 +339,7 @@ def generate_dataset(config: SyntheticConfig) -> Dataset:
     n_train = int(n * 0.7)
     n_val = int(n * 0.15)
     return Dataset(
-        config=config,
         train=instances[:n_train],
         validation=instances[n_train:n_train + n_val],
         test=instances[n_train + n_val:],
     )
-
-
-def save_dataset(dataset: Dataset, out_dir) -> None:
-    """graphs.jsonl + gold.jsonl + config.json + binary feature blobs."""
-    out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
-    graphs_lines = []
-    gold_lines = []
-    manifest = []
-    offset = 0
-    with open(out / "features" / "tensors.bin", "wb") as fh:
-        for inst in dataset.train + dataset.validation + dataset.test:
-            graphs_lines.append(json.dumps(to_dict(inst.graph)))
-            for nid, ans in sorted(inst.gold.items()):
-                gold_lines.append(json.dumps({"id": nid, "answer": ans}))
-            for nid in sorted(inst.videos):
-                v = inst.videos[nid]
-                for level, arr in (("f_o", v.f_o), ("f_a", v.f_a),
-                                   ("f_m", v.f_m)):
-                    blob = arr.astype("<f8").tobytes()
-                    fh.write(blob)
-                    manifest.append(
-                        {
-                            "name": f"{nid}.{level}",
-                            "shape": list(arr.shape),
-                            "offset": offset,
-                        }
-                    )
-                    offset += len(blob)
-    (out / "graphs.jsonl").write_text("\n".join(graphs_lines) + "\n")
-    (out / "gold.jsonl").write_text("\n".join(gold_lines) + "\n")
-    (out / "features" / "manifest.json").write_text(
-        json.dumps(manifest, indent=2)
-    )
-    payload = asdict(dataset.config)
-    payload["_manifest"] = dataset.manifest
-    (out / "config.json").write_text(json.dumps(payload, indent=2))

@@ -107,14 +107,8 @@ class RunReport:
     def to_json(self) -> str:
         """Canonical report; excludes wall-clock so reruns are
         byte-identical."""
-        payload = {
-            "config": self.config,
-            "epochs": self.epochs,
-            "best_step": self.best_step,
-            "best_validation": self.best_validation,
-            "test": self.test,
-            "relevance": self.relevance,
-        }
+        payload = asdict(self)
+        del payload["wall_clock"]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def epochs_csv(self) -> str:
@@ -335,9 +329,10 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
                                                    rng)
         else:
             triplet = Tensor(0.0)
+        # nodes in batch-cluster order, id-sorted: the order of `rows`
         terms["aggregation"] = aggregator.aggregation_loss(
-            graph_logits, triplet, config.synthetic.vocab_index
-        )
+            [lm[node.id] for g, lm in graph_logits for node in g.nodes],
+            pack.gold[rows], triplet)
 
     total = ad.mul(terms["answer_ce"], config.alignment_weight)
     if "contrastive" in terms:
@@ -402,12 +397,11 @@ def _check_dims(store: ParamStore, config: RunConfig):
             )
 
 
-def evaluate(store: ParamStore, config: RunConfig, pack: PackedSplit,
-             beta: float = 1.0):
+def evaluate(store: ParamStore, config: RunConfig, pack: PackedSplit):
     """Side-effect-free split evaluation; returns (MetricsReport,
     relevance stats)."""
     predictions, relevance = predict_split(store, config, pack)
-    return metrics.full_report(pack.graphs, predictions, beta), relevance
+    return metrics.full_report(pack.graphs, predictions), relevance
 
 
 def _epoch_row(step, loss_avgs, report, relevance):

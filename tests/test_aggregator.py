@@ -334,45 +334,33 @@ class TestEdgeTripletLoss:
 class TestAggregationLoss:
     VOCAB_INDEX = {"yes": 0, "no": 1, "red": 2}
 
-    def graph_and_logits(self, seed, saturated=None):
+    def logits_and_targets(self, seed, saturated=None):
         g = random_dag(seed, 4)
         rng = np.random.default_rng(seed)
-        logits = {}
+        logits, targets = [], []
         for n in g.nodes:
+            target = self.VOCAB_INDEX[n.gold_answer.casefold()]
             if saturated is not None:
                 row = np.zeros(3)
-                row[self.VOCAB_INDEX[n.gold_answer.casefold()]] = saturated
-                logits[n.id] = Tensor(row)
+                row[target] = saturated
+                logits.append(Tensor(row))
             else:
-                logits[n.id] = Tensor(rng.normal(size=3))
-        return g, logits
+                logits.append(Tensor(rng.normal(size=3)))
+            targets.append(target)
+        return logits, targets
 
     def test_perfect_predictions_near_zero(self):
-        g, logits = self.graph_and_logits(20, saturated=40.0)
-        loss = aggregator.aggregation_loss(
-            [(g, logits)], Tensor(0.0), self.VOCAB_INDEX
-        )
+        logits, targets = self.logits_and_targets(20, saturated=40.0)
+        loss = aggregator.aggregation_loss(logits, targets, Tensor(0.0))
         assert loss.item() < 1e-6
 
     def test_uniform_predictions_ln_vocab(self):
         g = random_dag(21, 5)
-        logits = {n.id: Tensor(np.zeros(5)) for n in g.nodes}
         vocab = {"yes": 0, "no": 1, "a": 2, "b": 3, "c": 4}
-        loss = aggregator.aggregation_loss([(g, logits)], Tensor(0.0), vocab)
+        loss = aggregator.aggregation_loss(
+            [Tensor(np.zeros(5)) for _ in g.nodes],
+            [vocab[n.gold_answer.casefold()] for n in g.nodes], Tensor(0.0))
         assert loss.item() == pytest.approx(np.log(5), abs=1e-12)
-
-    def test_missing_gold_raises(self):
-        from qdqa.metrics import MissingGoldError
-
-        doc = make_doc(
-            [node("m", role="main", answer=None), node("s")],
-            [{"parent": "m", "child": "s", "op": "Conjunction"}],
-        )
-        g = qdg.parse_and_validate(doc)
-        logits = {"m": Tensor(np.zeros(3)), "s": Tensor(np.zeros(3))}
-        with pytest.raises(MissingGoldError):
-            aggregator.aggregation_loss([(g, logits)], Tensor(0.0),
-                                        self.VOCAB_INDEX)
 
     @pytest.mark.parametrize("seed", [22, 23, 24])
     def test_end_to_end_gradient(self, seed):
@@ -391,8 +379,9 @@ class TestAggregationLoss:
                 reprs, 1.0, np.random.default_rng(seed)
             )
             return aggregator.aggregation_loss(
-                [(g, logits)], triplet,
-                {"yes": 0, "no": 1},
+                [logits[n.id] for n in g.nodes],
+                [{"yes": 0, "no": 1}[n.gold_answer.casefold()] for n in g.nodes],
+                triplet,
             )
 
         first = sorted(feats)[0]

@@ -130,6 +130,21 @@ def test_eval_non_string_answer_exits_1(tmp_path):
     assert "line 1" in payload["message"]
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0"])
+def test_eval_beta_not_finite_and_positive_exits_1(tmp_path, beta):
+    gpath, gold, pred = write_row1_fixture(tmp_path)
+    out = tmp_path / "r.json"
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(gpath), "--gold", str(gold),
+        "--pred", str(pred), f"--beta={beta}", "--out", str(out),
+    ])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "ValueError"
+    assert "beta must be finite and positive" in payload["message"]
+    assert not out.exists()
+
+
 def test_eval_binary_gold_maybe_exits_1(tmp_path):
     gpath, gold, pred = write_row1_fixture(tmp_path)
     binary = next(n.id for g in qdg.load_jsonl(gpath.read_text())
@@ -321,15 +336,20 @@ def test_eval_bad_json_line_exits_1_with_json_error(tmp_path, which, line):
     with pytest.raises(json.JSONDecodeError) as expected:
         json.loads(line)
     files = dict(zip(("graphs", "gold", "pred"), write_row1_fixture(tmp_path)))
-    files[which].write_text(files[which].read_text() + line + "\n")
-    result = RUNNER.invoke(main, [
-        "eval", "--graphs", str(files["graphs"]), "--gold",
-        str(files["gold"]), "--pred", str(files["pred"]),
-        "--out", str(tmp_path / "r.json"),
-    ])
-    assert result.exit_code == 1
-    assert json.loads(result.stderr) == {
-        "error": "JSONDecodeError", "message": str(expected.value)}
+    text = files[which].read_text()
+    files[which].write_text(text + line + "\n")
+    number = len(text.split("\n"))
+    commands = [["eval", "--graphs", str(files["graphs"]), "--gold",
+                 str(files["gold"]), "--pred", str(files["pred"]),
+                 "--out", str(tmp_path / "r.json")]]
+    if which == "graphs":
+        commands.append(["validate", str(files["graphs"])])
+    for command in commands:
+        result = RUNNER.invoke(main, command)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "JSONDecodeError",
+            "message": f"{files[which]}: line {number}: {expected.value}"}
 
 
 @pytest.mark.parametrize("which", ["graphs", "gold", "pred"])
@@ -365,7 +385,7 @@ def test_deeply_nested_line_exits_1_with_json_error(tmp_path, which, nest):
         assert result.exit_code == 1
         assert json.loads(result.stderr) == {
             "error": "ValueError",
-            "message": f"line {line}: JSON nested too deeply"}
+            "message": f"{files[which]}: line {line}: JSON nested too deeply"}
 
 
 def tiny_run_config(tmp_path, **kw):
@@ -489,6 +509,27 @@ def test_gradcheck_command():
     assert all(err < 1e-4 for err in payload["max_errors"].values())
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gradcheck_instances_below_1_is_usage_error(value):
+    result = RUNNER.invoke(main, ["gradcheck", f"--instances={value}"])
+    assert result.exit_code == 2
+    assert "--instances" in result.output
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_decompose_k_below_1_is_usage_error(tmp_path, value):
+    questions = tmp_path / "q.txt"
+    questions.write_text("Does A happen and B happen?\n")
+    stub = tmp_path / "stub.json"
+    stub.write_text(json.dumps({"responses": ["1, 2, 3"]}))
+    result = RUNNER.invoke(main, [
+        "decompose", "--questions", str(questions), f"--k={value}",
+        "--stub", str(stub),
+    ])
+    assert result.exit_code == 2
+    assert "--k" in result.output
+
+
 def test_decompose_command_with_stub(tmp_path):
     questions = tmp_path / "q.txt"
     questions.write_text("Does A happen and B happen?\n")
@@ -509,6 +550,29 @@ def test_decompose_command_with_stub(tmp_path):
     assert graphs[0].graph_id == "cli01"
     assert json.loads(result.stderr)["succeeded"] == 1
     assert run().stdout == result.stdout
+
+
+@pytest.mark.parametrize("which,text", [
+    ("bank", "null"),
+    ("bank", '{"groups": []}'),
+    ("bank", json.dumps({"groups": {"g": [
+        {"question": 1, "graph": json.loads(good_graph_json())}]}})),
+    ("bank", "[" * 100_000),
+    ("stub", "[]"),
+    ("stub", '{"responses": [1]}'),
+    ("stub", '{"table": {"p": null}}'),
+])
+def test_decompose_malformed_bank_or_stub_exits_1(tmp_path, which, text):
+    files = {"questions": "q?\n", "bank": "", "stub": "{}", which: text}
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    command = ["decompose", "--questions", str(tmp_path / "questions"),
+               "--stub", str(tmp_path / "stub")]
+    if files["bank"]:
+        command += ["--bank", str(tmp_path / "bank")]
+    result = RUNNER.invoke(main, command)
+    assert result.exit_code == 1
+    assert json.loads(result.stderr)["error"] == "ValueError"
 
 
 def test_decompose_all_failures_exits_1(tmp_path):

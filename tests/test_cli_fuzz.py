@@ -1,15 +1,21 @@
-"""Fuzz `qdqa validate` and `qdqa eval` with mutated graph and answer files
-(one mutation inserts a line nested too deeply to decode):
-every run exits 0 or 1, exit 1 prints one JSON object naming the error on
-stderr, and no run ends in an uncaught exception."""
+"""Fuzz `qdqa validate`, `qdqa eval` and `qdqa decompose` with mutated
+input files (one mutation inserts a line nested too deeply to decode), and
+the numeric options `eval --beta`, `gradcheck --instances` and
+`decompose --k` with odd values: every run exits 0, 1 or 2, exit 1 prints
+one JSON object on stderr, exit 2 is a usage error, and no run ends in an
+uncaught exception.  `train` and `ablate` are not fuzzed: each run trains
+a model."""
 
 import json
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qdqa import qdg
 from qdqa.cli import main
+from qdqa.decompose import demo_bank
 from test_cli import write_row1_fixture
+from test_decompose import good_graph_json
 
 RUNNER = CliRunner()
 FILES = ("graphs", "gold", "pred")
@@ -94,24 +100,35 @@ def value_edit(draw, text):
 def mutated_files(draw, texts):
     out = dict(texts)
     for _ in range(draw(st.integers(1, 3))):
-        name = draw(st.sampled_from(FILES))
+        name = draw(st.sampled_from(sorted(texts)))
         edit = draw(st.sampled_from([text_edit, line_edit, value_edit]))
         out[name] = edit(draw, out[name])
     return out
 
 
-def check_contract(result):
-    assert result.exit_code in (0, 1), result.output
+def check_exit(result, codes=(0, 1)):
+    assert result.exit_code in codes, result.output
     assert result.exception is None or isinstance(result.exception,
                                                   SystemExit), \
         repr(result.exception)
     assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        assert "Usage:" in result.output
+
+
+def check_contract(result, codes=(0, 1)):
+    check_exit(result, codes)
     if result.exit_code == 1:
         payload = json.loads(result.stderr)
         assert isinstance(payload, dict) and isinstance(payload["error"], str)
         assert isinstance(payload["message"], str)
-    else:
+    elif result.exit_code == 0:
         assert json.loads(result.stdout)["status"] == "ok"
+
+
+def write_texts(paths, texts):
+    for name, text in texts.items():
+        paths[name].write_text(text, errors="surrogatepass")
 
 
 def test_validate_and_eval_keep_the_error_contract(tmp_path_factory):
@@ -125,8 +142,7 @@ def test_validate_and_eval_keep_the_error_contract(tmp_path_factory):
     @settings(max_examples=150, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     def run(files):
-        for name, text in files.items():
-            paths[name].write_text(text, errors="surrogatepass")
+        write_texts(paths, files)
         check_contract(RUNNER.invoke(main, ["validate",
                                             str(paths["graphs"])]))
         out.unlink(missing_ok=True)
@@ -137,5 +153,107 @@ def test_validate_and_eval_keep_the_error_contract(tmp_path_factory):
         ])
         check_contract(result)
         assert out.exists() == (result.exit_code == 0)
+
+    run()
+
+
+# values of a numeric option that no count accepts: counts below 1,
+# floats where an int is due, words and an empty string
+NOT_COUNTS = (st.integers(-3, 0).map(str)
+              | st.sampled_from(["", "x", "1.5", "0x1", "1e2", "nan", "inf",
+                                 "-inf", "-0", "1e309", "-" + "9" * 30]))
+NUMBERS = NOT_COUNTS | st.sampled_from(["1", "2", "+1", " 3", "9" * 30])
+FLOATS = NUMBERS | st.floats().map(repr)
+
+
+def test_eval_beta_keeps_the_error_contract(tmp_path_factory):
+    paths = write_row1_fixture(tmp_path_factory.mktemp("fixture"))
+    out = paths[0].parent / "report.json"
+
+    @given(beta=FLOATS)
+    @settings(max_examples=40, deadline=None, database=None)
+    def run(beta):
+        out.unlink(missing_ok=True)
+        result = RUNNER.invoke(main, [
+            "eval", "--graphs", str(paths[0]), "--gold", str(paths[1]),
+            "--pred", str(paths[2]), f"--beta={beta}", "--out", str(out),
+        ])
+        check_contract(result, (0, 1, 2))
+        assert out.exists() == (result.exit_code == 0)
+        if result.exit_code == 0:
+            assert 0 < float(beta) < float("inf")
+
+    run()
+
+
+# a valid count runs the finite-difference suite that many times, so only
+# invalid ones are drawn; test_cli runs a valid one
+@given(instances=NOT_COUNTS)
+@settings(max_examples=30, deadline=None, database=None)
+def test_gradcheck_instances_keeps_the_error_contract(instances):
+    result = RUNNER.invoke(main, ["gradcheck", "--module", "autodiff",
+                                  f"--instances={instances}"])
+    check_exit(result, (2,))
+
+
+def decompose_texts():
+    """A bank, a stub fixture and a questions file that decompose two
+    questions."""
+    bank = {"groups": {
+        label: [{"question": q, "graph": qdg.to_dict(g)} for q, g in items]
+        for label, items in demo_bank().groups.items()}}
+    stub = {"table": {}, "responses": ["1, 2, 3", good_graph_json("f1"),
+                                       "3, 1, 2", good_graph_json("f2")]}
+    return {"bank": json.dumps(bank), "stub": json.dumps(stub),
+            "questions": "Does A happen and B happen?\nIs it red?\n"}
+
+
+def check_decompose(paths, out, k="3"):
+    out.unlink(missing_ok=True)
+    result = RUNNER.invoke(main, [
+        "decompose", "--bank", str(paths["bank"]), "--questions",
+        str(paths["questions"]), "--stub", str(paths["stub"]),
+        f"--k={k}", "--out", str(out),
+    ])
+    check_exit(result, (0, 1, 2))
+    if result.exit_code == 2:
+        return
+    # a data error, or the report of the questions that failed
+    payload = json.loads(result.stderr)
+    assert isinstance(payload, dict)
+    if "error" in payload:
+        assert result.exit_code == 1 and not out.exists()
+        assert isinstance(payload["message"], str)
+        return
+    graphs = qdg.load_jsonl(out.read_text())
+    assert payload["succeeded"] == len(graphs)
+    assert (result.exit_code == 1) == (not graphs and bool(payload["failed"]))
+
+
+def test_decompose_keeps_the_error_contract(tmp_path_factory):
+    texts = decompose_texts()
+    work = tmp_path_factory.mktemp("decompose")
+    paths = {name: work / f"{name}.txt" for name in texts}
+
+    @given(files=mutated_files(texts))
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def run(files):
+        write_texts(paths, files)
+        check_decompose(paths, work / "graphs.jsonl")
+
+    run()
+
+
+def test_decompose_k_keeps_the_error_contract(tmp_path_factory):
+    texts = decompose_texts()
+    work = tmp_path_factory.mktemp("decompose_k")
+    paths = {name: work / f"{name}.txt" for name in texts}
+    write_texts(paths, texts)
+
+    @given(k=NUMBERS)
+    @settings(max_examples=30, deadline=None, database=None)
+    def run(k):
+        check_decompose(paths, work / "graphs.jsonl", k)
 
     run()

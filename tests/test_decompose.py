@@ -12,6 +12,8 @@ from qdqa.decompose import (
     demo_bank,
 )
 
+from test_qdg import root_of
+
 
 BANK = demo_bank()
 
@@ -57,7 +59,7 @@ def test_bank_from_json_round_trip():
     bank = ExampleBank.from_json(json.dumps(raw))
     question, graph = bank.flat()[0]
     assert question == "Does A happen and B happen?"
-    assert graph.root.id == "q0"
+    assert root_of(graph).id == "q0"
 
 
 def test_bank_rejects_empty():
@@ -121,7 +123,7 @@ def test_decompose_question_parses_valid_completion():
         "Does A happen and B happen?", BANK.flat()[:2], client
     )
     assert result.attempts == 1
-    assert result.graph.root.text == "Does A happen and B happen?"
+    assert root_of(result.graph).text == "Does A happen and B happen?"
     assert sorted(result.sub_questions) == [
         "Does A happen?", "Does B happen?"
     ]

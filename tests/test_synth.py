@@ -4,6 +4,8 @@ import pytest
 from qdqa import qdg, synth
 from qdqa.synth import SignalBank, SyntheticConfig
 
+from test_qdg import root_of
+
 
 CFG = SyntheticConfig(clusters=20, seed=3)
 
@@ -66,7 +68,7 @@ def test_graphs_validate_and_roles_consistent():
         g = inst.graph
         # re-parsing the serialized form must succeed and round-trip
         assert qdg.parse_and_validate(qdg.serialize(g)) == g
-        assert g.root.role == "main"
+        assert root_of(g).role == "main"
 
 
 def test_planted_relevance_sizes_in_range():
@@ -109,12 +111,6 @@ def test_dataset_split_sizes_and_disjointness():
     assert len(set(ids)) == 100
 
 
-def test_dataset_manifest_deterministic():
-    cfg = SyntheticConfig(clusters=40, seed=2)
-    assert synth.generate_dataset(cfg).manifest == \
-        synth.generate_dataset(cfg).manifest
-
-
 def test_leaf_answer_marginals():
     # leaves: binary uniform over yes/no, open uniform over the open vocab
     cfg = SyntheticConfig(clusters=260, seed=5)
@@ -152,7 +148,7 @@ def test_relevance_oracle_beats_random_indicator():
     vocab_index = cfg.vocab_index
 
     def ce(pooled, gold):
-        logits = bank.answer_logits(pooled)
+        logits = pooled @ bank.answer_emb.T
         logits = logits - logits.max()
         return -(logits[vocab_index[gold]]
                  - np.log(np.exp(logits).sum()))
@@ -170,26 +166,3 @@ def test_relevance_oracle_beats_random_indicator():
             random_total += ce(pooled_rand, inst.gold[nid])
             n_terms += 1
     assert planted_total / n_terms < random_total / n_terms
-
-
-def test_save_dataset_outputs_parse_back(tmp_path):
-    cfg = SyntheticConfig(clusters=8, seed=6)
-    ds = synth.generate_dataset(cfg)
-    synth.save_dataset(ds, tmp_path / "data")
-    graphs = qdg.load_jsonl((tmp_path / "data" / "graphs.jsonl").read_text())
-    assert len(graphs) == 8
-    import json
-
-    manifest = json.loads(
-        (tmp_path / "data" / "features" / "manifest.json").read_text()
-    )
-    blob = (tmp_path / "data" / "features" / "tensors.bin").read_bytes()
-    entry = manifest[0]
-    count = int(np.prod(entry["shape"]))
-    arr = np.frombuffer(blob, dtype="<f8", count=count,
-                        offset=entry["offset"]).reshape(entry["shape"])
-    nid, level = entry["name"].rsplit(".", 1)
-    inst = next(
-        x for x in ds.train + ds.validation + ds.test if nid in x.videos
-    )
-    np.testing.assert_array_equal(arr, getattr(inst.videos[nid], level))
