@@ -23,6 +23,7 @@ the chain's order, and values and gradients match bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -613,23 +614,27 @@ class ParamStore:
         view.params = {n: Tensor(t.data) for n, t in self.params.items()}
         return view
 
-    # Checkpoints: flat little-endian f64 blob + JSON manifest.
+    # Checkpoints: flat little-endian f64 blob + JSON manifest of the
+    # tensors' shapes and offsets and the blob's sha256.
 
     def save(self, path):
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         manifest = []
         offset = 0
+        digest = hashlib.sha256()
         with open(path / "params.bin", "wb") as fh:
             for name in sorted(self.params):
                 t = self.params[name]
                 blob = t.data.astype("<f8").tobytes()
                 fh.write(blob)
+                digest.update(blob)
                 manifest.append(
                     {"name": name, "shape": list(t.shape), "offset": offset}
                 )
                 offset += len(blob)
-        meta = {"seed": self.seed, "tensors": manifest}
+        meta = {"seed": self.seed, "sha256": digest.hexdigest(),
+                "tensors": manifest}
         (path / "manifest.json").write_text(json.dumps(meta, indent=2))
 
     @classmethod
@@ -643,6 +648,12 @@ class ParamStore:
             raise ShapeError(
                 f"{path / 'params.bin'} holds {len(blob)} bytes, but its "
                 f"manifest describes {need}")
+        # manifests written before the checksum was recorded carry none
+        want = meta.get("sha256")
+        if want is not None and hashlib.sha256(blob).hexdigest() != want:
+            raise ValueError(
+                f"{path / 'params.bin'} does not match the sha256 its "
+                f"manifest records")
         store = cls(seed=meta["seed"])
         for entry in meta["tensors"]:
             shape = tuple(entry["shape"])

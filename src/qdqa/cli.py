@@ -14,6 +14,12 @@ from .qdg import QdgError
 from .synth import ConfigError
 
 
+def _set_workers(tr) -> None:
+    threads = click.get_current_context().obj["threads"]
+    if threads is not None:
+        tr.WORKERS = threads
+
+
 def _fail(error: Exception, **extra):
     """Machine-readable data-error JSON on stderr, exit 1."""
     payload = {"error": type(error).__name__, "message": str(error)}
@@ -23,11 +29,11 @@ def _fail(error: Exception, **extra):
 
 
 @click.group()
-@click.option("--threads", type=click.IntRange(min=1), default=1,
-              show_default=True,
-              help="Worker thread budget; accepted but not yet applied. "
-                   "BLAS threads follow OPENBLAS_NUM_THREADS / "
-                   "OMP_NUM_THREADS.")
+@click.option("--threads", type=click.IntRange(min=1),
+              help="Threads that train and ablate run evaluation's clip "
+                   "blocks on; outputs do not depend on it.  [default: "
+                   "CPUs available to this process]  BLAS threads follow "
+                   "OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.")
 @click.pass_context
 def main(ctx, threads):
     """Decomposition-graph VidQA toolkit."""
@@ -129,6 +135,7 @@ def train_cmd(config_path, out_dir):
     """Train the joint model; writes report, epoch CSV, and checkpoint."""
     from . import train as tr
 
+    _set_workers(tr)
     try:
         cfg = tr.RunConfig.from_json(Path(config_path).read_text())
         report, _ = tr.train(cfg, out_dir=out_dir)
@@ -149,6 +156,7 @@ def ablate_cmd(config_path, out):
     """Train every component-flag variant and tabulate the metrics."""
     from . import train as tr
 
+    _set_workers(tr)
     try:
         cfg = tr.RunConfig.from_json(Path(config_path).read_text())
         table = tr.ablate(cfg)

@@ -182,7 +182,10 @@ def _selection_prompt(question: str, candidates: list, k: int) -> str:
 
 
 def _parse_selection(completion: str, k: int, n: int) -> list:
-    numbers = [int(tok) for tok in re.findall(r"\d+", completion)]
+    try:
+        numbers = [int(tok) for tok in re.findall(r"\d+", completion)]
+    except ValueError as exc:  # a token beyond int()'s digit limit
+        raise SelectionParseError(f"unreadable index: {exc}") from None
     if len(numbers) != k:
         raise SelectionParseError(
             f"expected {k} indices, got {numbers!r} from {completion!r}"

@@ -9,7 +9,9 @@ deterministic given the run seed.
 from __future__ import annotations
 
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -207,8 +209,14 @@ def _clip_gradients(store: ParamStore, max_norm: float) -> None:
 
 # videos per block of the aligner's clip stages: they run video by video,
 # so blocks give the same bits as one pass and keep the temporaries of a
-# large split small; 128 to 512 measured about the same
-CLIP_BLOCK = 256
+# large split small; on a 1.8k-node evaluation with two workers, blocks
+# of 256 raised the peak memory over a serial pass by 22%, blocks of 128 by 9%
+CLIP_BLOCK = 128
+# threads for the clip blocks of a pass that draws no Gumbel noise from
+# its rng, by default the CPUs this process may run on (`qdqa --threads`
+# sets it); a pass uses min(WORKERS, blocks // 2) and runs serially below 2
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
@@ -219,6 +227,11 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     drawn from `rng`.  Returns (head logits [len(rows), vocab], the
     aggregator logits or None, the aligner's (f_q, clips, ind, w_rel) or
     None).
+
+    With `noise` given, the aligner's clip blocks run on a thread pool
+    (numpy drops the GIL in their loops) and are joined in block order, so
+    the bits do not depend on WORKERS.  Drawing from `rng` keeps them in
+    order on this thread, so the random stream is unchanged.
 
     The aggregator runs once per cluster, and its logits are one node id
     -> Tensor map per cluster, when a parameter of `store` requires grad.
@@ -232,8 +245,7 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     """
     f_q = Tensor(pack.f_q[rows])
     if config.use_aligner:
-        clips, ind = [], []
-        for lo in range(0, len(rows), CLIP_BLOCK):
+        def block(lo):
             blk = rows[lo:lo + CLIP_BLOCK]
             f_q_blk = f_q if len(blk) == len(rows) else Tensor(pack.f_q[blk])
             f_m_c, clips_blk = aligner.clip_pipeline(
@@ -242,8 +254,15 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
             ind_blk, _ = aligner.hard_indicator(
                 f_m_c, f_q_blk, store, config.heads, config.temperature, rng,
                 None if noise is None else noise[lo:lo + CLIP_BLOCK])
-            clips.append(clips_blk)
-            ind.append(ind_blk)
+            return clips_blk, ind_blk
+
+        starts = range(0, len(rows), CLIP_BLOCK)
+        workers = min(WORKERS, len(starts) // 2)
+        if noise is not None and workers > 1:
+            with ThreadPoolExecutor(workers) as pool:
+                clips, ind = zip(*pool.map(block, starts))
+        else:
+            clips, ind = zip(*map(block, starts))
         if len(clips) > 1:
             clips, ind = ad.concat(clips, axis=0), ad.concat(ind, axis=0)
         else:  # one block builds the tape of a single pass

@@ -614,6 +614,18 @@ class TestParamStore:
         with pytest.raises(ad.ShapeError, match="params.bin"):
             ad.ParamStore.load(tmp_path / "ckpt")
 
+    def test_params_bin_of_the_right_size_but_other_bytes_raises(
+            self, tmp_path):
+        store = ad.ParamStore(7)
+        store.add("alpha", (3, 2))
+        store.save(tmp_path / "ckpt")
+        blob_path = tmp_path / "ckpt" / "params.bin"
+        blob = bytearray(blob_path.read_bytes())
+        blob[5] ^= 1  # one mantissa bit of alpha[0, 0]
+        blob_path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="params.bin.*sha256"):
+            ad.ParamStore.load(tmp_path / "ckpt")
+
 
 @given(
     rows=st.integers(1, 6), cols=st.integers(2, 6),

@@ -414,6 +414,34 @@ def test_train_command_is_reproducible(tmp_path):
     assert run("a") == run("b")
 
 
+def test_train_report_does_not_depend_on_threads(tmp_path, monkeypatch):
+    from qdqa import train as tr
+    from qdqa.synth import SyntheticConfig, generate_dataset
+
+    cfg = tr.RunConfig(synthetic=SyntheticConfig(clusters=10, seed=0),
+                       steps=4, eval_every=2, batch_clusters=2)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(cfg.to_json())
+    monkeypatch.setattr(tr, "WORKERS", tr.WORKERS)  # restored afterwards
+    monkeypatch.setattr(tr, "CLIP_BLOCK", 2)
+    # so every validation evaluation at --threads 2 runs on two threads
+    validation = generate_dataset(cfg.synthetic).validation
+    assert sum(len(inst.graph.nodes) for inst in validation) > 6
+
+    def run(threads):
+        out = tmp_path / f"threads{threads}"
+        result = RUNNER.invoke(main, [
+            "--threads", str(threads), "train", "--config", str(cfg_path),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert tr.WORKERS == threads
+        return [(out / name).read_bytes()
+                for name in ("report.json", "checkpoint/params.bin")]
+
+    assert run(1) == run(2)
+
+
 def test_train_command_writes_artifacts(tmp_path):
     cfg_path = tiny_run_config(tmp_path)
     out = tmp_path / "run_out"
@@ -573,6 +601,26 @@ def test_decompose_malformed_bank_or_stub_exits_1(tmp_path, which, text):
     result = RUNNER.invoke(main, command)
     assert result.exit_code == 1
     assert json.loads(result.stderr)["error"] == "ValueError"
+
+
+def test_decompose_huge_selection_index_fails_one_question(tmp_path):
+    questions = tmp_path / "q.txt"
+    questions.write_text("Does A happen and B happen?\nDoes C happen?\n")
+    stub = tmp_path / "stub.json"
+    # the second selection answer has more digits than int() converts
+    stub.write_text(json.dumps(
+        {"responses": ["1, 2, 3", good_graph_json("cli01"), "9" * 5000]}))
+    out = tmp_path / "graphs.jsonl"
+    result = RUNNER.invoke(main, [
+        "decompose", "--questions", str(questions), "--stub", str(stub),
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert [g.graph_id for g in qdg.load_jsonl(out.read_text())] \
+        == ["cli01"]
+    report = json.loads(result.stderr)
+    assert report["succeeded"] == 1
+    assert [f["question"] for f in report["failed"]] == ["Does C happen?"]
 
 
 def test_decompose_all_failures_exits_1(tmp_path):

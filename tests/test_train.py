@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -337,22 +339,32 @@ def test_fused_ops_keep_gradients_bitwise(monkeypatch, row, batch):
 def test_blocked_predict_split_matches_one_block(monkeypatch, row):
     cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
     store = init_params(cfg)
-    _, val_pack, _ = packs_for(cfg)
-    joints = []
-    joint = tr.aligner.backbone_joint
+    _, _, test_pack = packs_for(cfg)
+    joints, threads = [], set()
+    joint, pipeline = tr.aligner.backbone_joint, tr.aligner.clip_pipeline
 
     def recording_joint(*args, **kwargs):
         out = joint(*args, **kwargs)
         joints.append(out.data.tobytes())
         return out
 
+    def recording_pipeline(*args, **kwargs):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)  # lets every pool thread take a block
+        return pipeline(*args, **kwargs)
+
     monkeypatch.setattr(tr.aligner, "backbone_joint", recording_joint)
+    monkeypatch.setattr(tr.aligner, "clip_pipeline", recording_pipeline)
+    monkeypatch.setattr(tr, "CLIP_BLOCK", test_pack.n_nodes)
+    single = predict_split(store, cfg, test_pack)
     monkeypatch.setattr(tr, "CLIP_BLOCK", 3)  # ragged last block
-    assert val_pack.n_nodes % 3
-    blocked = predict_split(store, cfg, val_pack)
-    monkeypatch.setattr(tr, "CLIP_BLOCK", val_pack.n_nodes)
-    assert predict_split(store, cfg, val_pack) == blocked
-    assert joints[0] == joints[1]
+    assert test_pack.n_nodes % 3 and test_pack.n_nodes // 3 >= 4
+    for workers in (1, 2):
+        monkeypatch.setattr(tr, "WORKERS", workers)
+        threads.clear()
+        assert predict_split(store, cfg, test_pack) == single
+        assert joints[-1] == joints[0]
+        assert len(threads) == workers
 
 
 @pytest.mark.parametrize("row", ["full", "aligner"])
@@ -372,8 +384,15 @@ def test_blocked_recording_forward_matches_one_block(monkeypatch, row):
 
     monkeypatch.setattr(tr, "CLIP_BLOCK", 4)  # ragged last block
     n = sum(len(train_pack.clusters[i][1]) for i in batch)
-    assert n > 4 and n % 4
+    assert n > 16 and n % 4
+    monkeypatch.setattr(tr, "WORKERS", 1)
     blocked = run()
+    # the rng draws the noise, so the blocks stay in order on one thread
+    monkeypatch.setattr(tr, "WORKERS", 2)
+    threaded = run()
+    assert threaded[:2] == blocked[:2]
+    assert all(threaded[2][name].tobytes() == grad.tobytes()
+               for name, grad in blocked[2].items())
     monkeypatch.setattr(tr, "CLIP_BLOCK", n)
     single = run()
     assert blocked[:2] == single[:2]
