@@ -12,13 +12,15 @@ any other order changes gradient bits, and through training the bytes of
 every report; a backward closure may return None for a parent that neither
 requires grad nor has parents, because the walk would discard it anyway.
 
-Fusion rule: a chain of ops may become one tape node (`linear`,
-`softmax_cross_entropy`, `triplet_hinge`) only where each intermediate has
-a single consumer, so no gradient sum inside the chain is reordered.  The
-fused node repeats the chain's numpy operations in the same order, and
-lists its parents in the order the chain's nodes reach them (a parent the
-chain reaches twice is listed twice); the walk then adds every gradient in
-the chain's order, and values and gradients match bit for bit.
+Fusion rule: a chain of ops may become one tape node only where each
+intermediate has a single consumer, so no gradient sum inside the chain is
+reordered.  The fused node repeats the chain's numpy operations in the
+same order, and lists its parents in the order the chain's nodes reach
+them (a parent the chain reaches twice is listed twice); the walk then
+adds every gradient in the chain's order, and values and gradients match
+bit for bit.  The fused nodes here are `linear`, `concat_linear`,
+`softmax_cross_entropy`, `softmax_cross_entropy_mean` and
+`triplet_hinge_mean`; `aggregator.gat_layer` is one more.
 """
 
 from __future__ import annotations
@@ -210,32 +212,32 @@ def power(a, exponent: float) -> Tensor:
     )
 
 
-def _matmul_grads(g, a: Tensor, b: Tensor):
-    """Gradients of `a @ b` given the output gradient g; None for an
-    operand that gets none."""
-    ad, bd = a.data, b.data
+def _matmul_grads(g, ad: np.ndarray, bd: np.ndarray, need_a: bool,
+                  need_b: bool):
+    """Gradients of arrays `ad @ bd` given the output gradient g; None for
+    an operand whose flag is False."""
     ga = gb = None
     if ad.ndim == 1 and bd.ndim == 1:
-        if _needs_grad(a):
+        if need_a:
             ga = g * bd
-        if _needs_grad(b):
+        if need_b:
             gb = g * ad
     elif ad.ndim == 1:
         # (k,) @ (..., k, n) -> (..., n)
-        if _needs_grad(a):
+        if need_a:
             ga = _unbroadcast((g[..., None, :] * bd).sum(axis=-1), ad.shape)
-        if _needs_grad(b):
+        if need_b:
             gb = _unbroadcast(ad[..., :, None] * g[..., None, :], bd.shape)
     elif bd.ndim == 1:
         # (..., m, k) @ (k,) -> (..., m)
-        if _needs_grad(a):
+        if need_a:
             ga = _unbroadcast(g[..., :, None] * bd, ad.shape)
-        if _needs_grad(b):
+        if need_b:
             gb = _unbroadcast((g[..., :, None] * ad).sum(axis=-2), bd.shape)
     else:
-        if _needs_grad(a):
+        if need_a:
             ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
-        if _needs_grad(b):
+        if need_b:
             gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
     return ga, gb
 
@@ -245,36 +247,64 @@ def matmul(a, b) -> Tensor:
     if a.ndim == 0 or b.ndim == 0:
         raise ShapeError("matmul requires at least 1-d operands")
     data = a.data @ b.data
-    return _make(data, (a, b), lambda g: _matmul_grads(g, a, b))
+    return _make(data, (a, b), lambda g: _matmul_grads(
+        g, a.data, b.data, _needs_grad(a), _needs_grad(b)))
+
+
+def _linear_data(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray):
+    """The value of `linear` on arrays: xd @ wd + bd.
+
+    Leading axes of xd with stride 0 (an x made by `broadcast_to`) are
+    projected once and broadcast back as a view; gemm runs matrix by
+    matrix over leading axes, so each copy would get the same bits."""
+    lead = xd.ndim - 2
+    if lead > 0 and wd.ndim == 2 and bd.ndim <= 1 and 0 in xd.strides[:lead]:
+        distinct = tuple(slice(0, 1) if s == 0 else slice(None)
+                         for s in xd.strides[:lead])
+        y = xd[distinct] @ wd
+        y += bd
+        return np.broadcast_to(y, xd.shape[:-1] + y.shape[-1:])
+    data = xd @ wd
+    data += bd
+    return data
 
 
 def linear(x, w, b) -> Tensor:
     """x @ w + b as one tape node, bit for bit equal to
-    add(matmul(x, w), b) in value and gradients.
-
-    Leading axes of x with stride 0 (an x made by `broadcast_to`) are
-    projected once and broadcast back as a view; gemm runs matrix by
-    matrix over leading axes, so each copy would get the same bits."""
+    add(matmul(x, w), b) in value and gradients."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim == 0 or w.ndim == 0:
         raise ShapeError("linear requires at least 1-d x and w")
-    xd = x.data
-    lead = xd.ndim - 2
-    if lead > 0 and w.ndim == 2 and b.ndim <= 1 and 0 in xd.strides[:lead]:
-        distinct = tuple(slice(0, 1) if s == 0 else slice(None)
-                         for s in xd.strides[:lead])
-        y = xd[distinct] @ w.data
-        y += b.data
-        data = np.broadcast_to(y, xd.shape[:-1] + y.shape[-1:])
-    else:
-        data = xd @ w.data
-        data += b.data
 
     def backward(g):
-        gx, gw = _matmul_grads(g, x, w)
+        gx, gw = _matmul_grads(g, x.data, w.data, _needs_grad(x),
+                               _needs_grad(w))
         return gx, gw, _unbroadcast(g, b.shape) if _needs_grad(b) else None
 
-    return _make(data, (x, w, b), backward)
+    return _make(_linear_data(x.data, w.data, b.data), (x, w, b), backward)
+
+
+def concat_linear(xs, w, b) -> Tensor:
+    """linear(concat(xs, axis=-1), w, b) as one tape node with parents
+    (*xs, w, b), bit for bit equal to that chain in value and gradients."""
+    xs = [_as_tensor(x) for x in xs]
+    w, b = _as_tensor(w), _as_tensor(b)
+    xd = np.concatenate([x.data for x in xs], axis=-1)
+    lead = (slice(None),) * (xd.ndim - 1)
+    cuts, end = [], 0
+    for x in xs:
+        start, end = end, end + x.data.shape[-1]
+        cuts.append(lead + (slice(start, end),))
+
+    def backward(g):
+        gx, gw = _matmul_grads(g, xd, w.data, any(map(_needs_grad, xs)),
+                               _needs_grad(w))
+        gb = _unbroadcast(g, b.shape) if _needs_grad(b) else None
+        parts = ((None,) * len(xs) if gx is None
+                 else tuple(gx[cut] for cut in cuts))
+        return parts + (gw, gb)
+
+    return _make(_linear_data(xd, w.data, b.data), (*xs, w, b), backward)
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -445,16 +475,11 @@ def layer_norm(a, eps=1e-6) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def _distance(a: np.ndarray, b: np.ndarray, eps=1e-12):
-    """(a - b, sqrt(sum((a - b)^2) + eps)) of arrays a and b."""
-    diff = a - b
-    return diff, np.sqrt((diff ** 2).sum() + eps)
-
-
 def euclidean_distance(a, b, eps=1e-12) -> Tensor:
     """d(a, b) = sqrt(sum((a - b)^2) + eps); grad is 0 at coincident points."""
     a, b = _as_tensor(a), _as_tensor(b)
-    diff, data = _distance(a.data, b.data, eps)
+    diff = a.data - b.data
+    data = np.sqrt((diff ** 2).sum() + eps)
 
     def backward(g):
         ga = g * diff / data
@@ -463,25 +488,39 @@ def euclidean_distance(a, b, eps=1e-12) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def triplet_hinge(a, pos, neg, margin: float) -> Tensor:
-    """relu(d(a, pos) - d(a, neg) + margin) as one tape node, bit for bit
-    equal to the chain relu(add(add(d(a, pos), mul(d(a, neg), -1.0)),
-    margin)) of `euclidean_distance` in value and gradients.  Its parents
-    are (a, pos, a, neg), the order in which the chain's two distances
-    reach them."""
-    a, pos, neg = _as_tensor(a), _as_tensor(pos), _as_tensor(neg)
-    diff1, d1 = _distance(a.data, pos.data)
-    diff2, d2 = _distance(a.data, neg.data)
+def triplet_hinge_mean(triples, margin: float, count: int) -> Tensor:
+    """Sum over (a, pos, neg) triples of relu(d(a, pos) - d(a, neg) +
+    margin), times 1.0 / count, as one tape node.
+
+    Bit for bit equal in value and gradients to the chain
+    mul(reduce_sum(stack(hinges)), 1.0 / count), each hinge being
+    relu(add(add(d(a, pos), mul(d(a, neg), -1.0)), margin)) of
+    `euclidean_distance` (at its default eps).  Its parents are (a, pos, a, neg) per triple, in
+    triple order: the order in which the chain's distances reach them.
+    The vectors of all triples share one shape; a distance sums over all
+    of a vector's entries."""
+    triples = [tuple(map(_as_tensor, t)) for t in triples]
+    shape = triples[0][0].shape
+    anchors, positives, negatives = (
+        np.stack([t[k].data for t in triples]).reshape(len(triples), -1)
+        for k in range(3))
+    diff1 = anchors - positives
+    d1 = np.sqrt((diff1 ** 2).sum(axis=-1) + 1e-12)
+    diff2 = anchors - negatives
+    d2 = np.sqrt((diff2 ** 2).sum(axis=-1) + 1e-12)
     gap = d1 + d2 * -1.0 + margin
     mask = gap > 0
+    scale = 1.0 / count
 
     def backward(g):
-        g = g * mask
-        ga1 = g * diff1 / d1
-        ga2 = g * -1.0 * diff2 / d2
-        return (ga1, -ga1, ga2, -ga2)
+        g = (g * scale) * mask
+        ga1 = (g[:, None] * diff1 / d1[:, None]).reshape((-1,) + shape)
+        ga2 = (g[:, None] * -1.0 * diff2 / d2[:, None]).reshape(
+            (-1,) + shape)
+        return [x for row in zip(ga1, -ga1, ga2, -ga2) for x in row]
 
-    return _make(gap * mask, (a, pos, a, neg), backward)
+    parents = [t for a, pos, neg in triples for t in (a, pos, a, neg)]
+    return _make((gap * mask).sum() * scale, parents, backward)
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -513,6 +552,32 @@ def softmax_cross_entropy(logits, target: int) -> Tensor:
         return (out - sm * out.sum(axis=-1, keepdims=True),)
 
     return _make(lp[target] * -1.0, (logits,), backward)
+
+
+def softmax_cross_entropy_mean(rows, targets) -> Tensor:
+    """Mean over 1-d logits rows of -log softmax(row)[target], as one tape
+    node with the rows as parents, in order.  Bit for bit equal in value
+    and gradients to mul(reduce_sum(stack(ces)), 1.0 / len(rows)) over
+    one `softmax_cross_entropy` per row: the log-softmax runs row by row
+    on the stacked rows."""
+    rows = [_as_tensor(r) for r in rows]
+    targets = np.asarray(targets, dtype=np.int64)
+    if len(rows) != len(targets):
+        raise ShapeError(f"{len(rows)} logits rows but {len(targets)} "
+                         f"targets")
+    lp, sm = _log_softmax(np.stack([r.data for r in rows]), -1)
+    k = lp.shape[-1]
+    if targets.min() < 0 or targets.max() >= k:
+        raise IndexError(f"a target is out of range for {k} classes")
+    picked = (np.arange(len(rows)), targets)
+    scale = 1.0 / len(rows)
+
+    def backward(g):
+        out = np.zeros_like(lp)
+        out[picked] += (g * scale) * -1.0
+        return tuple(out - sm * out.sum(axis=-1, keepdims=True))
+
+    return _make((lp[picked] * -1.0).sum() * scale, rows, backward)
 
 
 def softmax_cross_entropy_batch(logits, targets) -> Tensor:

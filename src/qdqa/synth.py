@@ -11,6 +11,7 @@ parent's answer is decodable only by aggregating over its children.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,9 @@ class SyntheticConfig:
             if isinstance(gain, bool) or not isinstance(gain, (int, float)):
                 raise ConfigError(f"role_gain.{role} must be a number, got "
                                   f"{type(gain).__name__}")
+            if isinstance(gain, float) and not math.isfinite(gain):
+                raise ConfigError(f"role_gain.{role} must be finite, got "
+                                  f"{gain}")
         missing = [r for r in VALID_ROLES if r not in self.role_gain]
         if missing:
             raise ConfigError(f"role_gain.{missing[0]} is missing")

@@ -9,6 +9,7 @@ deterministic given the run seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -79,7 +80,8 @@ class RunConfig:
 
 def _checked(default, raw, path: str):
     """`raw`, parsed from JSON at key path `path`, checked against
-    `default`: key by key where the default is a dataclass, else by type."""
+    `default`: key by key where the default is a dataclass, else by type;
+    a float must be finite."""
     if is_dataclass(default):
         if not isinstance(raw, dict):
             raise ConfigError(f"{path} must be a JSON object")
@@ -93,6 +95,10 @@ def _checked(default, raw, path: str):
             not isinstance(raw, kind):
         raise ConfigError(f"{path} must be {type(default).__name__}, got "
                           f"{type(raw).__name__}")
+    # json reads NaN and Infinity; `norm > nan` is False, so a NaN
+    # grad_clip would turn clipping off, and the report would not be JSON
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise ConfigError(f"{path} must be finite, got {raw}")
     return raw
 
 
@@ -237,11 +243,15 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     -> Tensor map per cluster, when a parameter of `store` requires grad.
     Otherwise (a `store.frozen()` view) it runs once per cluster size on
     the stacked clusters of that size, and its logits are one
-    [len(rows), vocab] array in row order; both give the same bits.
-    Training does not group: gathering a cluster's rows with one index
-    array instead of one `getitem` per node adds the gradient sums of
-    `joint` in another order, which changed the report and parameters of
-    4 of 15 80-step runs (the five ablation rows at seeds 0-2).
+    [len(rows), vocab] array in row order; both give the same bits.  Each
+    GAT layer is one tape node either way (`aggregator.gat_layer`).
+    Training does not group, and it still reads `joint` with one
+    `getitem` per node: gathering a cluster's rows with one index array
+    adds the gradient sums of `joint` in another order wherever a batch
+    holds the same cluster twice (rows of distinct nodes add into zeros,
+    which is exact), which changed the report and parameters of 4 of 15
+    80-step runs (the aggregator_triplet and full rows at seeds 1 and 2,
+    of the five ablation rows at seeds 0-2).
     """
     f_q = Tensor(pack.f_q[rows])
     if config.use_aligner:

@@ -220,8 +220,48 @@ def check_gat_stacked(seed: int) -> float:
                                   rng))
 
 
+def check_edge_projection(seed: int) -> float:
+    """edge_representations: one concat_linear per edge, over head rows
+    that several edges share."""
+    rng = np.random.default_rng([seed, 13])
+    vocab, h = 5, 4
+    store = ParamStore(seed=seed)
+    aggregator.init_aggregator_params(store, h, 1, vocab)
+    g = _toy_graph()
+    feats = [Tensor(rng.normal(size=vocab), requires_grad=True)
+             for _ in range(3)]
+    w = rng.normal(size=(len(g.edges), h))
+
+    def fn(inputs):
+        reprs = aggregator.edge_representations(
+            [(g, dict(zip(("a", "b", "c"), inputs[:3])))], store)
+        return ad.reduce_sum(ad.stack(
+            [ad.reduce_sum(ad.mul(v, Tensor(r)))
+             for (_, v), r in zip(reprs, w)]))
+
+    return ad.grad_check(fn, feats + list(store.layer("ag.edge")))
+
+
+def check_ce_mean(seed: int) -> float:
+    """aggregation_loss's CE mean over logits rows of one matrix, some read
+    more than once, plus a triplet term."""
+    rng = np.random.default_rng([seed, 14])
+    k = 5
+    logits = Tensor(rng.normal(size=(4, k)) * 2.0)
+    triplet = Tensor(rng.normal())
+    rows = [2, 0, 2, 3, 1, 2]
+    targets = rng.integers(k, size=len(rows))
+
+    def fn(inputs):
+        x, t = inputs
+        return aggregator.aggregation_loss([x[i] for i in rows], targets, t)
+
+    return ad.grad_check(fn, [logits, triplet])
+
+
 def check_triplet(seed: int) -> float:
-    """edge_triplet_loss, one triplet_hinge per edge."""
+    """edge_triplet_loss: one triplet_hinge_mean node over the sampled
+    triples."""
     rng = np.random.default_rng([seed, 5])
     reprs = [(t, Tensor(rng.normal(size=4), requires_grad=True))
              for t in ("Conjunction", "Conjunction", "Equals", "Equals")]
@@ -328,6 +368,8 @@ SUITES = {
                 ("contrastive", check_contrastive)),
     "aggregator": (("gat_head", check_gat_head),
                    ("gat_stacked", check_gat_stacked),
+                   ("edge_projection", check_edge_projection),
+                   ("ce_mean", check_ce_mean),
                    ("triplet", check_triplet)),
     "train": (("total_losses", check_total_losses),),
 }

@@ -4,6 +4,8 @@ import pytest
 from qdqa import aggregator, autodiff as ad, qdg
 from qdqa.autodiff import ParamStore, Tensor
 
+from test_autodiff import (chain_ce_mean, chain_concat_linear,
+                           chain_triplet_mean)
 from test_qdg import make_doc, node, random_dag
 
 H = 6
@@ -56,6 +58,112 @@ def dense_reference(g, feats, store, layers):
         F = out
         outs.append(F.copy())
     return order, outs
+
+
+def chain_gat_layer(feats, mask, store, prefix):
+    """gat_layer as the op chain its single node replaces: the reference
+    it must match bit for bit."""
+    n, h = feats.shape[-2:]
+    lead = feats.shape[:-2]
+    ws, wsb = store[f"{prefix}.ws.w"], store[f"{prefix}.ws.b"]
+    left = ad.matmul(feats, ad.getitem(ws, slice(0, h)))
+    right = ad.linear(feats, ad.getitem(ws, slice(h, 2 * h)), wsb)
+    pair = ad.add(ad.reshape(left, lead + (n, 1, h)),
+                  ad.reshape(right, lead + (1, n, h)))
+    scores = ad.matmul(ad.leaky_relu(pair), store[f"{prefix}.a"])
+    masked = ad.add(scores, aggregator.MASK_OFF * (1.0 - mask))
+    alpha = ad.mul(ad.softmax(masked, axis=-1), mask)
+    transformed = ad.linear(feats, *store.layer(f"{prefix}.wg"))
+    return ad.relu(ad.matmul(alpha, transformed)), alpha
+
+
+def use_op_chains(monkeypatch):
+    """Swap every fused aggregator node for the op chain it replaces."""
+    monkeypatch.setattr(aggregator, "gat_layer", chain_gat_layer)
+    monkeypatch.setattr(ad, "concat_linear", chain_concat_linear)
+    monkeypatch.setattr(ad, "softmax_cross_entropy_mean", chain_ce_mean)
+    monkeypatch.setattr(ad, "triplet_hinge_mean", chain_triplet_mean)
+
+
+class TestFusedGatLayer:
+    """gat_layer and the edge projection against their op chains, byte for
+    byte: values, alphas and every parent gradient."""
+
+    @staticmethod
+    def run(feats_data, mask, seed, readout):
+        """Bytes of two layers plus the head on leaf features: logits,
+        alphas, and the gradients of the features and every parameter."""
+        store = make_store(seed=seed)
+        feats = Tensor(feats_data.copy(), requires_grad=True)
+        outputs, alphas = aggregator.gat_layers(feats, mask, store, K)
+        logits = aggregator.answer_head(outputs, store)
+        ad.reduce_sum(ad.mul(logits, readout)).backward()
+        return ([logits.data.tobytes(), feats.grad.tobytes()]
+                + [a.data.tobytes() for a in alphas]
+                + [store[n].grad.tobytes() for n in sorted(store.names())
+                   if n.startswith("ag.l")])
+
+    def compare(self, monkeypatch, feats_data, mask, seed):
+        readout = np.random.default_rng(seed).normal(
+            size=feats_data.shape[:-1] + (VOCAB,))
+        fused = self.run(feats_data, mask, seed, readout)
+        with monkeypatch.context() as m:
+            m.setattr(aggregator, "gat_layer", chain_gat_layer)
+            chain = self.run(feats_data, mask, seed, readout)
+        assert fused == chain
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_one_graph(self, monkeypatch, seed):
+        g = random_dag(seed * 10, 7)
+        order = sorted(n.id for n in g.nodes)
+        feats = np.random.default_rng(seed).normal(size=(len(order), H))
+        self.compare(monkeypatch, feats, aggregator.neighbor_mask(g, order),
+                     seed)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_stacked_groups(self, monkeypatch, seed):
+        graphs = [random_dag(seed * 10 + i, 5) for i in range(4)]
+        assert len({len(g.nodes) for g in graphs}) == 1
+        masks = np.stack([aggregator.neighbor_mask(
+            g, sorted(n.id for n in g.nodes)) for g in graphs])
+        feats = np.random.default_rng(seed).normal(
+            size=masks.shape[:-1] + (H,))
+        self.compare(monkeypatch, feats, masks, seed)
+
+    def test_parents_follow_the_chain_walk(self):
+        store = make_store()
+        feats = Tensor(np.ones((3, H)), requires_grad=True)
+        out, alpha = aggregator.gat_layer(feats, np.eye(3), store, "ag.l0")
+        names = ("ws.w", "ws.w", "ws.b", "a", "wg.w", "wg.b")
+        assert out._parents == (feats,) * 3 + tuple(
+            store[f"ag.l0.{name}"] for name in names)
+        assert alpha._parents == ()
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    def test_edge_projection(self, monkeypatch, seed):
+        """Edge vectors over shared head rows of two graphs."""
+        graphs = [random_dag(seed * 10 + i, 6) for i in range(2)]
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(sum(len(g.nodes) for g in graphs), VOCAB))
+        readout = rng.normal(size=H)
+
+        def run():
+            store = make_store(seed=seed)
+            rows = Tensor(base.copy(), requires_grad=True)
+            ids = [(g, n.id) for g in graphs for n in g.nodes]
+            feats = [(g, {nid: rows[i] for i, (owner, nid) in enumerate(ids)
+                          if owner is g}) for g in graphs]
+            reprs = aggregator.edge_representations(feats, store)
+            total = ad.reduce_sum(ad.stack(
+                [ad.reduce_sum(ad.mul(v, readout)) for _, v in reprs]))
+            total.backward()
+            return ([v.data.tobytes() for _, v in reprs]
+                    + [rows.grad.tobytes(), store["ag.edge.w"].grad.tobytes(),
+                       store["ag.edge.b"].grad.tobytes()])
+
+        fused = run()
+        monkeypatch.setattr(ad, "concat_linear", chain_concat_linear)
+        assert run() == fused
 
 
 class TestGatForward:
@@ -264,13 +372,13 @@ class TestEdgeTripletLoss:
     def test_sampled_pairs_match_the_per_edge_candidate_code(self,
                                                              monkeypatch):
         seen = []
-        real = ad.triplet_hinge
+        real = ad.triplet_hinge_mean
 
-        def recording(a, pos, neg, margin):
-            seen.append((a, pos, neg))
-            return real(a, pos, neg, margin)
+        def recording(triples, margin, count):
+            seen.extend(triples)
+            return real(triples, margin, count)
 
-        monkeypatch.setattr(aggregator.ad, "triplet_hinge", recording)
+        monkeypatch.setattr(aggregator.ad, "triplet_hinge_mean", recording)
         layouts = np.random.default_rng(41)
         for trial in range(60):
             n = int(layouts.integers(1, 12))

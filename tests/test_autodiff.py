@@ -148,20 +148,39 @@ def chain_ce(logits, target):
 
 
 def chain_hinge(a, pos, neg, margin):
-    """triplet_hinge as a chain of primitives: the reference its single
-    node must match bit for bit."""
+    """One triplet hinge as a chain of primitives."""
     return ad.relu(ad.add(
         ad.add(ad.euclidean_distance(a, pos),
                ad.mul(ad.euclidean_distance(a, neg), -1.0)),
         margin))
 
 
+def chain_triplet_mean(triples, margin, count):
+    """triplet_hinge_mean as a chain of primitives: the reference its
+    single node must match bit for bit."""
+    hinges = [chain_hinge(a, p, n, margin) for a, p, n in triples]
+    return ad.mul(ad.reduce_sum(ad.stack(hinges)), 1.0 / count)
+
+
+def chain_ce_mean(rows, targets):
+    """softmax_cross_entropy_mean as a chain of primitives."""
+    ces = [chain_ce(row, int(t)) for row, t in zip(rows, targets,
+                                                   strict=True)]
+    return ad.mul(ad.reduce_sum(ad.stack(ces)), 1.0 / len(ces))
+
+
+def chain_concat_linear(xs, w, b):
+    """concat_linear as a chain of primitives."""
+    return ad.add(ad.matmul(ad.concat(xs, axis=-1), w), b)
+
+
 def value_and_grad_bytes(build, arrays, upstream):
     """Bytes of build(*leaves) and of every leaf's gradient, with the
-    output's gradient set to `upstream` through a constant factor."""
+    output's gradient set to `upstream` (a number, or an array of the
+    output's shape) through a constant factor."""
     leaves = [Tensor(x.copy(), requires_grad=True) for x in arrays]
     out = build(*leaves)
-    ad.mul(out, upstream).backward()
+    ad.mul(out, upstream).backward(np.ones_like(out.data))
     return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
 
 
@@ -198,29 +217,108 @@ class TestFusedExactness:
         *points, margin = self.HINGES[case]
         arrays = [np.asarray(p, dtype=float) for p in points]
         fused = value_and_grad_bytes(
-            lambda a, p, n: ad.triplet_hinge(a, p, n, margin), arrays,
-            upstream)
+            lambda a, p, n: ad.triplet_hinge_mean([(a, p, n)], margin, 1),
+            arrays, upstream)
         chain = value_and_grad_bytes(
-            lambda a, p, n: chain_hinge(a, p, n, margin), arrays, upstream)
+            lambda a, p, n: chain_triplet_mean([(a, p, n)], margin, 1),
+            arrays, upstream)
+        assert fused == chain
+
+    @pytest.mark.parametrize("upstream", [1.0, -0.37])
+    def test_triplet_mean_over_every_case(self, upstream):
+        """All hinge cases in one node, over vectors that several triples
+        share (in every role), and a count above the triple count."""
+        cases = [self.HINGES[c] for c in sorted(self.HINGES)]
+        arrays = [np.asarray(x, dtype=float)[:2] for case in cases
+                  for x in case[:3]]
+        margin = 0.4
+        k = len(arrays)
+
+        def triples(vs):
+            own = [(vs[3 * i], vs[3 * i + 1], vs[3 * i + 2])
+                   for i in range(len(cases))]
+            shared = [(vs[0], vs[k - 1], vs[4]), (vs[4], vs[0], vs[0]),
+                      (vs[k - 1], vs[4], vs[1])]
+            return own + shared
+
+        count = len(triples(arrays)) + 3
+        fused = value_and_grad_bytes(
+            lambda *vs: ad.triplet_hinge_mean(triples(vs), margin, count),
+            arrays, upstream)
+        chain = value_and_grad_bytes(
+            lambda *vs: chain_triplet_mean(triples(vs), margin, count),
+            arrays, upstream)
         assert fused == chain
 
     def test_hinge_gap_sign_matches_case(self):
         for case, (a, p, n, margin) in self.HINGES.items():
-            gap = ad.triplet_hinge(Tensor(a), Tensor(p), Tensor(n), margin)
+            gap = ad.triplet_hinge_mean([(Tensor(a), Tensor(p), Tensor(n))],
+                                        margin, 1)
             assert (gap.item() > 0) == (case not in ("inactive",
                                                      "gap_exactly_zero")), case
 
     def test_hinge_lists_the_anchor_twice(self):
-        a, p, n = (rand_tensor(3) for _ in range(3))
-        out = ad.triplet_hinge(a, p, n, 1.0)
-        assert out._parents == (a, p, a, n)
+        a, p, n, a2 = (rand_tensor(3) for _ in range(4))
+        out = ad.triplet_hinge_mean([(a, p, n), (a2, a, p)], 1.0, 2)
+        assert out._parents == (a, p, a, n, a2, a, a2, p)
+
+    @pytest.mark.parametrize("upstream", [1.0, -0.37])
+    def test_ce_mean(self, upstream):
+        """Rows of one leaf matrix, some read three times, so the gradient
+        sums into it depend on the order of the walk; saturated and
+        all-equal rows too."""
+        rng = np.random.default_rng(32)
+        logits = np.concatenate([rng.normal(size=(5, 7)) * 3,
+                                 np.zeros((1, 7)),
+                                 [[40.0, -3.0, 0.0, 0.0, 1e-3, 2.0, -40.0]]])
+        rows = [4, 0, 4, 2, 6, 4, 5, 1, 3, 0, 0]
+        targets = [0, 6, 3, 3, 1, 2, 6, 5, 4, 1, 2]
+
+        def run(build):
+            return value_and_grad_bytes(
+                lambda x: build([x[i] for i in rows], targets), [logits],
+                upstream)
+
+        assert run(ad.softmax_cross_entropy_mean) == run(chain_ce_mean)
+
+    def test_ce_mean_checks_lengths_and_targets(self):
+        rows = [Tensor(np.zeros(3)), Tensor(np.ones(3))]
+        with pytest.raises(ad.ShapeError):
+            ad.softmax_cross_entropy_mean(rows, [0])
+        with pytest.raises(IndexError):
+            ad.softmax_cross_entropy_mean(rows, [0, 3])
+        with pytest.raises(IndexError):
+            ad.softmax_cross_entropy_mean(rows, [-1, 0])
+
+    @pytest.mark.parametrize("shapes", [((3,), (4,)), ((2, 3), (2, 1)),
+                                        ((2, 2, 3), (2, 2, 4), (2, 2, 1))],
+                             ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("upstream", [1.0, -0.37])
+    def test_concat_linear(self, shapes, upstream):
+        rng = np.random.default_rng(33)
+        width = sum(s[-1] for s in shapes)
+        arrays = [rng.normal(size=s) for s in shapes]
+        arrays += [rng.normal(size=(width, 5)), rng.normal(size=5)]
+        upstream = upstream * rng.normal(size=shapes[0][:-1] + (5,))
+        fused = value_and_grad_bytes(
+            lambda *ts: ad.concat_linear(ts[:-2], *ts[-2:]), arrays,
+            upstream)
+        chain = value_and_grad_bytes(
+            lambda *ts: chain_concat_linear(ts[:-2], *ts[-2:]), arrays,
+            upstream)
+        assert fused == chain
 
     def test_constant_inputs_record_no_tape(self):
-        out = ad.triplet_hinge(Tensor([1.0]), Tensor([2.0]), Tensor([4.0]),
-                               1.0)
+        out = ad.triplet_hinge_mean(
+            [(Tensor([1.0]), Tensor([2.0]), Tensor([4.0]))], 1.0, 1)
         assert out._parents == () and out._backward is None
         assert ad.softmax_cross_entropy(Tensor(np.zeros(3)), 1)._parents \
             == ()
+        assert ad.softmax_cross_entropy_mean([Tensor(np.zeros(3))],
+                                             [1])._parents == ()
+        assert ad.concat_linear([Tensor([1.0]), Tensor([2.0])],
+                                Tensor(np.ones((2, 3))),
+                                Tensor(np.zeros(3)))._parents == ()
 
 
 def reference_backward(loss):

@@ -494,6 +494,51 @@ def test_malformed_config_exits_1_naming_the_key(tmp_path, command, text,
     assert named in payload["message"]
 
 
+def float_config_fields():
+    """Key paths of every float in a run config, the role gains included."""
+    from dataclasses import fields
+
+    from qdqa.train import RunConfig
+
+    cfg = RunConfig()
+    paths = [(f.name,) for f in fields(cfg)
+             if type(getattr(cfg, f.name)) is float]
+    paths += [("synthetic", f.name) for f in fields(cfg.synthetic)
+              if type(getattr(cfg.synthetic, f.name)) is float]
+    return paths + [("synthetic", "role_gain", role)
+                    for role in cfg.synthetic.role_gain]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("key", float_config_fields(),
+                         ids=".".join)
+def test_non_finite_config_float_exits_1_naming_the_key(tmp_path, command,
+                                                        key):
+    from qdqa.train import RunConfig
+
+    for value in (float("nan"), float("inf"), float("-inf")):
+        doc = {"steps": 2, "eval_every": 1, "synthetic": {"clusters": 7}}
+        if key[-2:-1] == ("role_gain",):
+            doc["synthetic"]["role_gain"] = dict(
+                RunConfig().synthetic.role_gain)
+        owner = doc
+        for part in key[:-1]:
+            owner = owner[part]
+        owner[key[-1]] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))  # NaN, Infinity, -Infinity
+        out = tmp_path / "o"
+        result = RUNNER.invoke(main, [
+            command, "--config", str(cfg), "--out", str(out),
+        ])
+        assert result.exit_code == 1, (value, result.output)
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "ConfigError"
+        assert ".".join(key[-2:]) in payload["message"]
+        assert "finite" in payload["message"]
+        assert not out.exists()
+
+
 def test_non_finite_loss_dump_names_the_parameter(tmp_path, monkeypatch):
     from qdqa import train as tr
 

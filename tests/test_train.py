@@ -23,6 +23,7 @@ from qdqa.train import (
     predict_split,
     train,
 )
+from test_aggregator import use_op_chains
 from test_autodiff import (
     composite_broadcast,
     composite_linear,
@@ -333,6 +334,55 @@ def test_fused_ops_keep_gradients_bitwise(monkeypatch, row, batch):
     monkeypatch.setattr(autodiff, "linear", composite_linear)
     monkeypatch.setattr(autodiff, "broadcast_to", composite_broadcast)
     assert run() == fused
+
+
+@pytest.mark.parametrize("row", ["full", "aggregator_triplet"])
+@pytest.mark.parametrize("batch", [[0, 0], [0, 1, 2]])
+def test_fused_aggregator_nodes_keep_gradients_bitwise(monkeypatch, row,
+                                                       batch):
+    """The GAT layers, edge projections, CE mean and triplet mean against
+    their op chains; batch [0, 0] holds one cluster twice."""
+    cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
+    train_pack, _, _ = packs_for(cfg)
+
+    def run():
+        store = init_params(cfg)
+        terms, total = forward_losses(train_pack, batch, store, cfg,
+                                      np.random.default_rng(0))
+        total.backward()
+        return ({k: v.data.tobytes() for k, v in terms.items()},
+                {n: t.grad.tobytes() for n, t in store.params.items()})
+
+    fused = run()
+    use_op_chains(monkeypatch)
+    assert run() == fused
+
+
+def tape_nodes(loss) -> int:
+    """Tensors reachable from `loss` through parent links, leaves and the
+    loss itself included."""
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for p in todo.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen)
+
+
+@pytest.mark.parametrize("row, budget", [("aggregator_triplet", 240),
+                                         ("full", 440)])
+def test_default_training_step_stays_within_its_tape_budget(row, budget):
+    """The first batch of a default run: one tape node per GAT layer, edge
+    projection, CE mean and triplet mean keeps the tape under budget (the
+    op chains they replace made it 610 and 807 nodes)."""
+    cfg = RunConfig(**dict(tr.ABLATION_ROWS)[row])
+    train_pack, _, _ = packs_for(cfg)
+    rng = np.random.default_rng([cfg.seed, 77])
+    batch = rng.permutation(len(train_pack.clusters))[:cfg.batch_clusters]
+    _, total = forward_losses(train_pack, batch.tolist(), init_params(cfg),
+                              cfg, rng)
+    assert tape_nodes(total) <= budget
 
 
 @pytest.mark.parametrize("row", ["full", "aligner"])
