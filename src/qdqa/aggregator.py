@@ -6,10 +6,11 @@ concatenated into the answer head, and edge representations feed a
 same-operator/other-operator triplet loss.
 
 The graphs are small (about 7 nodes), so per-op tape nodes would cost more
-than their arithmetic.  Each GAT layer, each edge projection, the node CE
-mean and the triplet mean is therefore one tape node that repeats its op
-chain's numpy work in the same order (the fusion rule of `autodiff`), and
-gives the same bits as the chain.
+than their arithmetic.  Each GAT layer (`gat_layer`), edge projection
+(`ad.concat_linear`), the node CE mean (`ad.softmax_cross_entropy_batch`)
+and the triplet mean (`ad.triplet_hinge_mean`) is therefore one tape node
+that repeats its op chain's numpy work in the same order (the fusion rule
+of `autodiff`), and gives the same bits as the chain.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, ShapeError, Tensor
+from .autodiff import ParamStore, Tensor
 from .qdg import QDG
 
 MASK_OFF = -1e9
@@ -133,10 +134,10 @@ def gat_layer(feats: Tensor, mask: np.ndarray, store: ParamStore,
     return out, Tensor(alpha)
 
 
-def gat_layers(feats: Tensor, mask: np.ndarray, store: ParamStore,
-               layers: int):
-    """All layers over [..., n, h] features; returns ([per-layer
-    [..., n, h] Tensors], alphas)."""
+def gat_forward(feats: Tensor, mask: np.ndarray, store: ParamStore,
+                layers: int) -> tuple[list, list]:
+    """All layers over [..., n, h] features and [..., n, n] masks; returns
+    ([per-layer [..., n, h] Tensors], alphas)."""
     outputs, alphas = [], []
     for k in range(layers):
         feats, alpha = gat_layer(feats, mask, store, f"ag.l{k}")
@@ -145,37 +146,10 @@ def gat_layers(feats: Tensor, mask: np.ndarray, store: ParamStore,
     return outputs, alphas
 
 
-def answer_head(layer_outputs: list[Tensor], store: ParamStore) -> Tensor:
-    """Concat per-layer features into the head: logits [..., n, vocab]."""
+def predict_answers(layer_outputs: list, store: ParamStore) -> Tensor:
+    """The head on the per-layer features: logits [..., n, vocab]."""
     stacked = ad.concat(layer_outputs, axis=-1)  # [..., n, K*h]
     return ad.linear(stacked, *store.layer("ag.head"))
-
-
-def gat_forward(node_features: dict, g: QDG, store: ParamStore,
-                layers: int):
-    """All layers on one graph; returns (order, [per-layer [n, h]
-    Tensors], alphas).
-
-    node_features maps node id -> Tensor [h].  Node order is sorted id.
-    """
-    order = sorted(node_features)
-    if set(order) != {n.id for n in g.nodes}:
-        raise ShapeError("feature ids do not match graph nodes")
-    widths = {node_features[i].shape[-1] for i in order}
-    if len(widths) != 1:
-        raise ShapeError("node feature widths differ")
-    feats = ad.stack([node_features[i] for i in order], axis=0)
-    outputs, alphas = gat_layers(feats, neighbor_mask(g, order), store,
-                                 layers)
-    return order, outputs, alphas
-
-
-def predict_answers(order: list[str], layer_outputs: list[Tensor],
-                    store: ParamStore):
-    """The head on one graph; returns the logits as a map node id ->
-    Tensor.  Logits are also the edge-feature inputs."""
-    head = answer_head(layer_outputs, store)
-    return {nid: ad.getitem(head, i) for i, nid in enumerate(order)}
 
 
 def edge_representations(graphs_and_features, store: ParamStore):
@@ -218,11 +192,12 @@ def edge_triplet_loss(edge_reprs, margin: float, rng) -> Tensor:
     return ad.triplet_hinge_mean(triples, margin, len(edge_reprs))
 
 
-def aggregation_loss(node_logits, targets, triplet: Tensor) -> Tensor:
+def aggregation_loss(node_logits: Tensor, targets,
+                     triplet: Tensor) -> Tensor:
     """Triplet term plus mean answer CE over nodes.
 
-    node_logits: one [vocab] logits Tensor per node; targets: their gold
+    node_logits: [N, vocab] logits, one row per node; targets: their gold
     vocab ids, in the same order.
     """
     return ad.add(triplet,
-                  ad.softmax_cross_entropy_mean(node_logits, targets))
+                  ad.softmax_cross_entropy_batch(node_logits, targets))

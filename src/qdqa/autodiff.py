@@ -19,7 +19,7 @@ same order, and lists its parents in the order the chain's nodes reach
 them (a parent the chain reaches twice is listed twice); the walk then
 adds every gradient in the chain's order, and values and gradients match
 bit for bit.  The fused nodes here are `linear`, `concat_linear`,
-`softmax_cross_entropy`, `softmax_cross_entropy_mean` and
+`softmax_cross_entropy`, `softmax_cross_entropy_batch` and
 `triplet_hinge_mean`; `aggregator.gat_layer` is one more.
 """
 
@@ -554,42 +554,27 @@ def softmax_cross_entropy(logits, target: int) -> Tensor:
     return _make(lp[target] * -1.0, (logits,), backward)
 
 
-def softmax_cross_entropy_mean(rows, targets) -> Tensor:
-    """Mean over 1-d logits rows of -log softmax(row)[target], as one tape
-    node with the rows as parents, in order.  Bit for bit equal in value
-    and gradients to mul(reduce_sum(stack(ces)), 1.0 / len(rows)) over
-    one `softmax_cross_entropy` per row: the log-softmax runs row by row
-    on the stacked rows."""
-    rows = [_as_tensor(r) for r in rows]
+def softmax_cross_entropy_batch(logits, targets) -> Tensor:
+    """Mean CE over the rows of [n, k] logits, as one tape node bit for bit
+    equal in value and gradients to mul(reduce_sum(getitem(log_softmax(
+    logits), (arange(n), targets))), -1.0 / n)."""
+    logits = _as_tensor(logits)
+    n, k = logits.data.shape
     targets = np.asarray(targets, dtype=np.int64)
-    if len(rows) != len(targets):
-        raise ShapeError(f"{len(rows)} logits rows but {len(targets)} "
-                         f"targets")
-    lp, sm = _log_softmax(np.stack([r.data for r in rows]), -1)
-    k = lp.shape[-1]
+    if targets.shape != (n,):
+        raise ShapeError(f"{n} logits rows, targets {targets.shape}")
     if targets.min() < 0 or targets.max() >= k:
         raise IndexError(f"a target is out of range for {k} classes")
-    picked = (np.arange(len(rows)), targets)
-    scale = 1.0 / len(rows)
+    lp, sm = _log_softmax(logits.data, -1)
+    picked = (np.arange(n), targets)
+    scale = -1.0 / n
 
     def backward(g):
         out = np.zeros_like(lp)
-        out[picked] += (g * scale) * -1.0
-        return tuple(out - sm * out.sum(axis=-1, keepdims=True))
+        out[picked] += g * scale  # each row once: equals np.add.at
+        return (out - sm * out.sum(axis=-1, keepdims=True),)
 
-    return _make((lp[picked] * -1.0).sum() * scale, rows, backward)
-
-
-def softmax_cross_entropy_batch(logits, targets) -> Tensor:
-    """Mean CE over the leading axis of [n, k] logits."""
-    logits = _as_tensor(logits)
-    n = logits.data.shape[0]
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.min() < 0 or targets.max() >= logits.data.shape[-1]:
-        raise IndexError("target out of range")
-    lp = log_softmax(logits, axis=-1)
-    picked = getitem(lp, (np.arange(n), targets))
-    return mul(reduce_sum(picked), -1.0 / n)
+    return _make(lp[picked].sum() * scale, (logits,), backward)
 
 
 def gumbel_softmax(logits, temperature=1.0, hard=False, rng=None, noise=None) -> Tensor:

@@ -40,6 +40,15 @@ def main(ctx, threads):
     ctx.obj = {"threads": threads}
 
 
+def _write(path: str, text: str):
+    """Write `text` to `path`; an OSError (a missing directory, a path
+    through a file) exits 1 with its message, which names the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _fail(exc)
+
+
 def _load(loader, path: str):
     """`loader` on the text of `path`; its line errors name the file."""
     text = Path(path).read_text()
@@ -122,7 +131,7 @@ def eval_cmd(graphs, gold, pred, beta, out):
         report = metrics.full_report(graph_list, predictions, beta)
     except (QdgError, KeyError, ValueError, json.JSONDecodeError) as exc:
         _fail(exc)
-    Path(out).write_text(metrics.emit_report(report))
+    _write(out, metrics.emit_report(report))
     click.echo(json.dumps({"status": "ok", "out": out}))
 
 
@@ -139,7 +148,7 @@ def train_cmd(config_path, out_dir):
     try:
         cfg = tr.RunConfig.from_json(Path(config_path).read_text())
         report, _ = tr.train(cfg, out_dir=out_dir)
-    except (ConfigError, tr.NonFiniteLossError, ValueError,
+    except (ConfigError, tr.NonFiniteLossError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         _fail(exc, dump=getattr(exc, "dump", None))
     click.echo(json.dumps({
@@ -159,11 +168,14 @@ def ablate_cmd(config_path, out):
     _set_workers(tr)
     try:
         cfg = tr.RunConfig.from_json(Path(config_path).read_text())
+        if not Path(out).parent.is_dir():  # before training, not after
+            raise FileNotFoundError(
+                f"--out {out}: its directory does not exist")
         table = tr.ablate(cfg)
-    except (ConfigError, tr.NonFiniteLossError, ValueError,
+    except (ConfigError, tr.NonFiniteLossError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         _fail(exc)
-    Path(out).write_text(tr.ablation_csv(table))
+    _write(out, tr.ablation_csv(table))
     click.echo(json.dumps({"status": "ok", "out": out, "rows": list(table)}))
 
 
@@ -215,7 +227,7 @@ def decompose_cmd(bank, questions, k, stub, out):
             json.JSONDecodeError) as exc:
         _fail(exc)
     if out:
-        Path(out).write_text(report.to_jsonl())
+        _write(out, report.to_jsonl())
     else:
         click.echo(report.to_jsonl(), nl=False)
     click.echo(json.dumps(report.failure_report()), err=True)

@@ -170,7 +170,12 @@ def parse_and_validate(document: str) -> QDG:
 def from_dict(raw: dict) -> QDG:
     if not isinstance(raw, dict):
         raise QdgError(f"document is a {type(raw).__name__}, not an object")
-    graph_id = raw.get("graph_id", "")
+    graph_id, video_id = raw.get("graph_id", ""), raw.get("video_id", "")
+    for key, value in (("graph_id", graph_id), ("video_id", video_id)):
+        if not isinstance(value, str):  # only a string id goes on errors
+            raise QdgError(f"{key} must be a string, not "
+                           f"{type(value).__name__}",
+                           graph_id if isinstance(graph_id, str) else None)
     try:
         nodes = [
             QuestionNode(n["id"], n["text"], n["kind"], n["role"],
@@ -188,7 +193,7 @@ def from_dict(raw: dict) -> QDG:
                        graph_id)
     return _build(
         graph_id=graph_id,
-        video_id=raw.get("video_id", ""),
+        video_id=video_id,
         nodes=nodes,
         edges=edges,
         edge_types=edge_types,

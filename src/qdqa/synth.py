@@ -71,6 +71,8 @@ class SyntheticConfig:
             raise ConfigError("relevant-clip range must lie within [1, n_c]")
         if self.subs_min > self.subs_max:
             raise ConfigError("bad subs range")
+        if self.seed < 0:  # numpy's seeding error would not name the key
+            raise ConfigError(f"synthetic.seed must be >= 0, got {self.seed}")
         if not isinstance(self.role_gain, dict):
             raise ConfigError("role_gain must map each role to a number")
         for role, gain in self.role_gain.items():

@@ -14,6 +14,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class RunConfig:
             self.synthetic = SyntheticConfig(**self.synthetic)
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
+        if self.seed < 0:  # numpy's seeding error would not name the key
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if min(self.h, self.layers, self.heads, self.batch_clusters,
                self.eval_every) < 1:
             raise ConfigError("all model/loop dimensions must be >= 1")
@@ -243,15 +246,11 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     -> Tensor map per cluster, when a parameter of `store` requires grad.
     Otherwise (a `store.frozen()` view) it runs once per cluster size on
     the stacked clusters of that size, and its logits are one
-    [len(rows), vocab] array in row order; both give the same bits.  Each
-    GAT layer is one tape node either way (`aggregator.gat_layer`).
-    Training does not group, and it still reads `joint` with one
-    `getitem` per node: gathering a cluster's rows with one index array
-    adds the gradient sums of `joint` in another order wherever a batch
-    holds the same cluster twice (rows of distinct nodes add into zeros,
-    which is exact), which changed the report and parameters of 4 of 15
-    80-step runs (the aggregator_triplet and full rows at seeds 1 and 2,
-    of the five ablation rows at seeds 0-2).
+    [len(rows), vocab] array in row order; both give the same bits.
+    Training reads `joint` with one `getitem` per node: one index array
+    per cluster would add the gradient sums of `joint` in another order
+    wherever a batch holds the same cluster twice, and so change the
+    bits of such runs.
     """
     f_q = Tensor(pack.f_q[rows])
     if config.use_aligner:
@@ -295,16 +294,20 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
 
 def _cluster_logits(joint: Tensor, clusters, store: ParamStore,
                     layers: int) -> list:
-    """One aggregator pass per cluster on one `getitem` row per node."""
+    """One aggregator pass per cluster on one `getitem` row per node;
+    returns one {node id: logits row Tensor} map per cluster."""
     local = {}
     for _, rows_map in clusters:
         for nid in rows_map:
             local[nid] = len(local)
     maps = []
     for g, rows_map in clusters:
-        feats = {nid: ad.getitem(joint, local[nid]) for nid in rows_map}
-        order, outputs, _ = aggregator.gat_forward(feats, g, store, layers)
-        maps.append(aggregator.predict_answers(order, outputs, store))
+        order = sorted(rows_map)
+        feats = ad.stack([ad.getitem(joint, local[nid]) for nid in order])
+        outputs, _ = aggregator.gat_forward(
+            feats, aggregator.neighbor_mask(g, order), store, layers)
+        head = aggregator.predict_answers(outputs, store)
+        maps.append({nid: ad.getitem(head, i) for i, nid in enumerate(order)})
     return maps
 
 
@@ -324,9 +327,9 @@ def _grouped_logits(joint: Tensor, clusters, store: ParamStore,
     logits = np.empty((start, store["ag.head.b"].shape[0]))
     for idx, masks in groups.values():
         idx = np.asarray(idx)  # [B, n]
-        outputs, _ = aggregator.gat_layers(
+        outputs, _ = aggregator.gat_forward(
             ad.getitem(joint, idx), np.stack(masks), store, layers)
-        logits[idx] = aggregator.answer_head(outputs, store).data
+        logits[idx] = aggregator.predict_answers(outputs, store).data
     return logits
 
 
@@ -360,7 +363,8 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
             triplet = Tensor(0.0)
         # nodes in batch-cluster order, id-sorted: the order of `rows`
         terms["aggregation"] = aggregator.aggregation_loss(
-            [lm[node.id] for g, lm in graph_logits for node in g.nodes],
+            ad.stack([lm[node.id] for g, lm in graph_logits
+                      for node in g.nodes]),
             pack.gold[rows], triplet)
 
     total = ad.mul(terms["answer_ce"], config.alignment_weight)
@@ -474,6 +478,9 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
                 f"the {name} split is empty: synthetic.clusters is "
                 f"{config.synthetic.clusters}, and must be at least "
                 f"{MIN_CLUSTERS}")
+    if out_dir is not None:  # an unwritable path fails before step 1
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     vocab_index = config.synthetic.vocab_index
     train_pack = pack_split(ds.train, vocab_index)
     val_pack = pack_split(ds.validation, vocab_index)
@@ -547,10 +554,6 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
         wall_clock=time.monotonic() - started,
     )
     if out_dir is not None:
-        from pathlib import Path
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(report.to_json())
         (out / "epochs.csv").write_text(report.epochs_csv())
         (out / "runtime.json").write_text(

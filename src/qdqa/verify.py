@@ -94,18 +94,14 @@ def check_linear(seed: int) -> float:
 
 
 def check_ce(seed: int) -> float:
-    """softmax_cross_entropy at every target of one logits vector."""
+    """softmax_cross_entropy_batch over rows that hit every target."""
     rng = np.random.default_rng([seed, 12])
     k = 5
-    logits = Tensor(rng.normal(size=k) * 2.0)
-    weights = rng.normal(size=k)
-
-    def fn(inputs):
-        return ad.reduce_sum(ad.stack(
-            [ad.mul(ad.softmax_cross_entropy(inputs[0], t), weights[t])
-             for t in range(k)]))
-
-    return ad.grad_check(fn, [logits])
+    logits = Tensor(rng.normal(size=(2 * k, k)) * 2.0)
+    targets = rng.permutation(np.tile(np.arange(k), 2))
+    return ad.grad_check(
+        lambda inputs: ad.softmax_cross_entropy_batch(inputs[0], targets),
+        [logits])
 
 
 def check_hierarchy(seed: int) -> float:
@@ -168,24 +164,21 @@ def _toy_graph():
 
 
 def check_gat_head(seed: int) -> float:
+    """The aggregator core and head on one graph: one head row read out."""
     rng = np.random.default_rng([seed, 4])
     h, layers, vocab = 6, 2, 5
     store = ParamStore(seed=seed)
     aggregator.init_aggregator_params(store, h, layers, vocab)
-    g = _toy_graph()
-    feats = {nid: Tensor(rng.normal(size=h), requires_grad=True)
-             for nid in ("a", "b", "c")}
+    mask = aggregator.neighbor_mask(_toy_graph(), ["a", "b", "c"])
+    feats = Tensor(rng.normal(size=(3, h)), requires_grad=True)
     w = rng.normal(size=vocab)
 
     def fn(inputs):
-        fa, fb, fc = inputs
-        order, outputs, _ = aggregator.gat_forward(
-            {"a": fa, "b": fb, "c": fc}, g, store, layers
-        )
-        logits = aggregator.predict_answers(order, outputs, store)
-        return ad.reduce_sum(ad.mul(logits["a"], Tensor(w)))
+        outputs, _ = aggregator.gat_forward(inputs[0], mask, store, layers)
+        logits = aggregator.predict_answers(outputs, store)
+        return ad.reduce_sum(ad.mul(logits[0], Tensor(w)))
 
-    return ad.grad_check(fn, [feats["a"], feats["b"], feats["c"]])
+    return ad.grad_check(fn, [feats])
 
 
 def check_gat_stacked(seed: int) -> float:
@@ -210,9 +203,9 @@ def check_gat_stacked(seed: int) -> float:
     w = Tensor(rng.normal(size=(2, 3, vocab)))
 
     def fn(*_):
-        outputs = aggregator.gat_layers(feats, mask, store, layers)[0]
-        return ad.reduce_sum(ad.mul(aggregator.answer_head(outputs, store),
-                                    w))
+        outputs = aggregator.gat_forward(feats, mask, store, layers)[0]
+        return ad.reduce_sum(ad.mul(
+            aggregator.predict_answers(outputs, store), w))
 
     head = store["ag.head.w"]
     return max(ad.grad_check(fn, [feats, head]),
@@ -243,8 +236,8 @@ def check_edge_projection(seed: int) -> float:
 
 
 def check_ce_mean(seed: int) -> float:
-    """aggregation_loss's CE mean over logits rows of one matrix, some read
-    more than once, plus a triplet term."""
+    """aggregation_loss's CE mean over stacked logits rows of one matrix,
+    some read more than once, plus a triplet term."""
     rng = np.random.default_rng([seed, 14])
     k = 5
     logits = Tensor(rng.normal(size=(4, k)) * 2.0)
@@ -254,7 +247,8 @@ def check_ce_mean(seed: int) -> float:
 
     def fn(inputs):
         x, t = inputs
-        return aggregator.aggregation_loss([x[i] for i in rows], targets, t)
+        return aggregator.aggregation_loss(ad.stack([x[i] for i in rows]),
+                                           targets, t)
 
     return ad.grad_check(fn, [logits, triplet])
 

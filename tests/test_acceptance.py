@@ -106,8 +106,10 @@ def _gat_alpha_rows(n_children, h, seed):
     g = qdg.from_dict({"graph_id": "gp", "video_id": "v",
                        "edge_types": ["Conjunction"], "nodes": nodes,
                        "edges": edges})
-    feats = {n["id"]: Tensor(rng.normal(size=h)) for n in nodes}
-    _, _, alphas = aggregator.gat_forward(feats, g, store, 1)
+    order = sorted(n.id for n in g.nodes)
+    feats = Tensor(rng.normal(size=(len(order), h)))
+    _, alphas = aggregator.gat_forward(
+        feats, aggregator.neighbor_mask(g, order), store, 1)
     assert np.abs(alphas[0].data.sum(axis=-1) - 1.0).max() < 1e-12
 
 

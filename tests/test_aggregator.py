@@ -4,7 +4,7 @@ import pytest
 from qdqa import aggregator, autodiff as ad, qdg
 from qdqa.autodiff import ParamStore, Tensor
 
-from test_autodiff import (chain_ce_mean, chain_concat_linear,
+from test_autodiff import (chain_ce_batch, chain_concat_linear,
                            chain_triplet_mean)
 from test_qdg import make_doc, node, random_dag
 
@@ -21,6 +21,15 @@ def make_store(seed=0, layers=K, vocab=VOCAB):
 
 def features_for(g, rng):
     return {n.id: Tensor(rng.normal(size=H)) for n in g.nodes}
+
+
+def on_graph(feats, g, store, layers):
+    """gat_forward on one graph's {node id: [h] Tensor} features, stacked
+    in sorted id order; returns (order, outputs, alphas)."""
+    order = sorted(feats)
+    stacked = ad.stack([feats[nid] for nid in order])
+    return (order, *aggregator.gat_forward(
+        stacked, aggregator.neighbor_mask(g, order), store, layers))
 
 
 def leaky(x):
@@ -81,7 +90,7 @@ def use_op_chains(monkeypatch):
     """Swap every fused aggregator node for the op chain it replaces."""
     monkeypatch.setattr(aggregator, "gat_layer", chain_gat_layer)
     monkeypatch.setattr(ad, "concat_linear", chain_concat_linear)
-    monkeypatch.setattr(ad, "softmax_cross_entropy_mean", chain_ce_mean)
+    monkeypatch.setattr(ad, "softmax_cross_entropy_batch", chain_ce_batch)
     monkeypatch.setattr(ad, "triplet_hinge_mean", chain_triplet_mean)
 
 
@@ -95,8 +104,8 @@ class TestFusedGatLayer:
         alphas, and the gradients of the features and every parameter."""
         store = make_store(seed=seed)
         feats = Tensor(feats_data.copy(), requires_grad=True)
-        outputs, alphas = aggregator.gat_layers(feats, mask, store, K)
-        logits = aggregator.answer_head(outputs, store)
+        outputs, alphas = aggregator.gat_forward(feats, mask, store, K)
+        logits = aggregator.predict_answers(outputs, store)
         ad.reduce_sum(ad.mul(logits, readout)).backward()
         return ([logits.data.tobytes(), feats.grad.tobytes()]
                 + [a.data.tobytes() for a in alphas]
@@ -173,7 +182,7 @@ class TestGatForward:
         rng = np.random.default_rng(0)
         store = make_store()
         feats = features_for(g, rng)
-        order, outs, alphas = aggregator.gat_forward(feats, g, store, 1)
+        order, outs, alphas = on_graph(feats, g, store, 1)
         assert alphas[0].data[0, 0] == pytest.approx(1.0)
         wg, wgb = store["ag.l0.wg.w"].data, store["ag.l0.wg.b"].data
         expect = np.maximum(feats["m"].data @ wg + wgb, 0.0)
@@ -196,7 +205,7 @@ class TestGatForward:
             "s1": Tensor(shared),
             "s2": Tensor(shared),
         }
-        order, outs, alphas = aggregator.gat_forward(feats, g, store, 1)
+        order, outs, alphas = on_graph(feats, g, store, 1)
         i = order.index("m")
         row = alphas[0].data[i]
         np.testing.assert_allclose(row[row > 0], 1.0 / 3.0, atol=1e-12)
@@ -205,8 +214,7 @@ class TestGatForward:
         g = random_dag(42, 7)
         rng = np.random.default_rng(2)
         store = make_store()
-        _, _, alphas = aggregator.gat_forward(features_for(g, rng), g,
-                                              store, K)
+        _, _, alphas = on_graph(features_for(g, rng), g, store, K)
         for alpha in alphas:
             np.testing.assert_allclose(alpha.data.sum(axis=-1), 1.0,
                                        atol=1e-12)
@@ -217,19 +225,11 @@ class TestGatForward:
         rng = np.random.default_rng(seed)
         store = make_store(seed=seed)
         feats = features_for(g, rng)
-        order, outs, _ = aggregator.gat_forward(feats, g, store, K)
+        order, outs, _ = on_graph(feats, g, store, K)
         ref_order, ref_outs = dense_reference(g, feats, store, K)
         assert order == ref_order
         for got, want in zip(outs, ref_outs):
             np.testing.assert_allclose(got.data, want, atol=1e-10)
-
-    def test_feature_graph_mismatch(self):
-        g = random_dag(1, 4)
-        rng = np.random.default_rng(0)
-        feats = features_for(g, rng)
-        feats["extra"] = Tensor(rng.normal(size=H))
-        with pytest.raises(ad.ShapeError):
-            aggregator.gat_forward(feats, g, make_store(), 1)
 
     @pytest.mark.parametrize("seed", [6, 7, 8])
     def test_gradients(self, seed):
@@ -241,7 +241,7 @@ class TestGatForward:
         w = rng.normal(size=(len(feats), H))
 
         def f(ts):
-            _, outs, _ = aggregator.gat_forward(feats, g, store, K)
+            _, outs, _ = on_graph(feats, g, store, K)
             return (outs[-1] * w).sum()
 
         x = feats[target_id]
@@ -257,25 +257,23 @@ class TestPredictAnswers:
         store = make_store()
         store["ag.head.w"].data[:] = 0.0
         store["ag.head.b"].data[:] = 0.0
-        order, outs, _ = aggregator.gat_forward(features_for(g, rng), g,
-                                                store, K)
-        logits = aggregator.predict_answers(order, outs, store)
-        assert set(logits) == set(order)
-        for row in logits.values():
-            assert row.shape == (VOCAB,) and not row.data.any()
+        order, outs, _ = on_graph(features_for(g, rng), g, store, K)
+        logits = aggregator.predict_answers(outs, store)
+        assert logits.shape == (len(order), VOCAB)
+        assert not logits.data.any()
 
     def test_matches_straight_line_recomputation(self):
         g = random_dag(11, 4)
         rng = np.random.default_rng(11)
         store = make_store(seed=5)
         feats = features_for(g, rng)
-        order, outs, _ = aggregator.gat_forward(feats, g, store, K)
-        logits = aggregator.predict_answers(order, outs, store)
+        order, outs, _ = on_graph(feats, g, store, K)
+        logits = aggregator.predict_answers(outs, store)
         w, b = store["ag.head.w"].data, store["ag.head.b"].data
-        for i, nid in enumerate(order):
+        for i in range(len(order)):
             cat = np.concatenate([outs[0].data[i], outs[1].data[i]])
             head = cat @ w + b
-            np.testing.assert_allclose(logits[nid].data, head, atol=1e-10)
+            np.testing.assert_allclose(logits.data[i], head, atol=1e-10)
 
 
 class TestEdgeTripletLoss:
@@ -451,11 +449,11 @@ class TestAggregationLoss:
             if saturated is not None:
                 row = np.zeros(3)
                 row[target] = saturated
-                logits.append(Tensor(row))
+                logits.append(row)
             else:
-                logits.append(Tensor(rng.normal(size=3)))
+                logits.append(rng.normal(size=3))
             targets.append(target)
-        return logits, targets
+        return Tensor(np.stack(logits)), targets
 
     def test_perfect_predictions_near_zero(self):
         logits, targets = self.logits_and_targets(20, saturated=40.0)
@@ -466,7 +464,7 @@ class TestAggregationLoss:
         g = random_dag(21, 5)
         vocab = {"yes": 0, "no": 1, "a": 2, "b": 3, "c": 4}
         loss = aggregator.aggregation_loss(
-            [Tensor(np.zeros(5)) for _ in g.nodes],
+            Tensor(np.zeros((len(g.nodes), 5))),
             [vocab[n.gold_answer.casefold()] for n in g.nodes], Tensor(0.0))
         assert loss.item() == pytest.approx(np.log(5), abs=1e-12)
 
@@ -479,15 +477,15 @@ class TestAggregationLoss:
         feats = features_for(g, rng)
 
         def f(ts):
-            order, outs, _ = aggregator.gat_forward(feats, g, store, K)
-            logits = aggregator.predict_answers(order, outs, store)
-            head_feats = {nid: logits[nid] for nid in order}
+            order, outs, _ = on_graph(feats, g, store, K)
+            logits = aggregator.predict_answers(outs, store)
+            head_feats = {nid: logits[i] for i, nid in enumerate(order)}
             reprs = aggregator.edge_representations([(g, head_feats)], store)
             triplet = aggregator.edge_triplet_loss(
                 reprs, 1.0, np.random.default_rng(seed)
             )
             return aggregator.aggregation_loss(
-                [logits[n.id] for n in g.nodes],
+                ad.stack([head_feats[n.id] for n in g.nodes]),
                 [{"yes": 0, "no": 1}[n.gold_answer.casefold()] for n in g.nodes],
                 triplet,
             )

@@ -162,11 +162,12 @@ def chain_triplet_mean(triples, margin, count):
     return ad.mul(ad.reduce_sum(ad.stack(hinges)), 1.0 / count)
 
 
-def chain_ce_mean(rows, targets):
-    """softmax_cross_entropy_mean as a chain of primitives."""
-    ces = [chain_ce(row, int(t)) for row, t in zip(rows, targets,
-                                                   strict=True)]
-    return ad.mul(ad.reduce_sum(ad.stack(ces)), 1.0 / len(ces))
+def chain_ce_batch(logits, targets):
+    """softmax_cross_entropy_batch as its chain of four primitives."""
+    n = logits.shape[0]
+    picked = ad.getitem(ad.log_softmax(logits, axis=-1),
+                        (np.arange(n), np.asarray(targets)))
+    return ad.mul(ad.reduce_sum(picked), -1.0 / n)
 
 
 def chain_concat_linear(xs, w, b):
@@ -262,11 +263,11 @@ class TestFusedExactness:
         out = ad.triplet_hinge_mean([(a, p, n), (a2, a, p)], 1.0, 2)
         assert out._parents == (a, p, a, n, a2, a, a2, p)
 
-    @pytest.mark.parametrize("upstream", [1.0, -0.37])
+    @pytest.mark.parametrize("upstream", [1.0, -0.37, 0.0, -0.0])
     def test_ce_mean(self, upstream):
-        """Rows of one leaf matrix, some read three times, so the gradient
-        sums into it depend on the order of the walk; saturated and
-        all-equal rows too."""
+        """The batch CE mean over stacked rows of one leaf matrix, some read
+        three times, so the gradient sums into it depend on the order of
+        the walk; saturated and all-equal rows too."""
         rng = np.random.default_rng(32)
         logits = np.concatenate([rng.normal(size=(5, 7)) * 3,
                                  np.zeros((1, 7)),
@@ -276,19 +277,19 @@ class TestFusedExactness:
 
         def run(build):
             return value_and_grad_bytes(
-                lambda x: build([x[i] for i in rows], targets), [logits],
-                upstream)
+                lambda x: build(ad.stack([x[i] for i in rows]), targets),
+                [logits], upstream)
 
-        assert run(ad.softmax_cross_entropy_mean) == run(chain_ce_mean)
+        assert run(ad.softmax_cross_entropy_batch) == run(chain_ce_batch)
 
     def test_ce_mean_checks_lengths_and_targets(self):
-        rows = [Tensor(np.zeros(3)), Tensor(np.ones(3))]
+        logits = Tensor(np.zeros((2, 3)))
         with pytest.raises(ad.ShapeError):
-            ad.softmax_cross_entropy_mean(rows, [0])
+            ad.softmax_cross_entropy_batch(logits, [0])
         with pytest.raises(IndexError):
-            ad.softmax_cross_entropy_mean(rows, [0, 3])
+            ad.softmax_cross_entropy_batch(logits, [0, 3])
         with pytest.raises(IndexError):
-            ad.softmax_cross_entropy_mean(rows, [-1, 0])
+            ad.softmax_cross_entropy_batch(logits, [-1, 0])
 
     @pytest.mark.parametrize("shapes", [((3,), (4,)), ((2, 3), (2, 1)),
                                         ((2, 2, 3), (2, 2, 4), (2, 2, 1))],
@@ -314,8 +315,8 @@ class TestFusedExactness:
         assert out._parents == () and out._backward is None
         assert ad.softmax_cross_entropy(Tensor(np.zeros(3)), 1)._parents \
             == ()
-        assert ad.softmax_cross_entropy_mean([Tensor(np.zeros(3))],
-                                             [1])._parents == ()
+        assert ad.softmax_cross_entropy_batch(Tensor(np.zeros((1, 3))),
+                                              [1])._parents == ()
         assert ad.concat_linear([Tensor([1.0]), Tensor([2.0])],
                                 Tensor(np.ones((2, 3))),
                                 Tensor(np.zeros(3)))._parents == ()

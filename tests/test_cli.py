@@ -13,6 +13,14 @@ from test_metrics import row1_fixture_graphs_and_preds
 RUNNER = CliRunner()
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def demo_jsonl():
     return "".join(qdg.serialize(g) + "\n" for _, g in demo_bank().flat())
 
@@ -187,7 +195,7 @@ def validate_error(tmp_path, line):
     path.write_text(line + "\n")
     result = RUNNER.invoke(main, ["validate", str(path)])
     assert result.exit_code == 1
-    payload = json.loads(result.stderr)
+    payload = strict_json(result.stderr)
     assert payload["error"] == "QdgError"
     return payload
 
@@ -217,6 +225,24 @@ def test_validate_non_string_node_fields_exits_1(tmp_path):
     payload = validate_error(tmp_path, json.dumps(doc))
     assert "id 7" in payload["message"] and "text 3" in payload["message"]
     assert payload["graph_id"] == "gcyc"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("graph_id", 7), ("graph_id", None), ("graph_id", float("nan")),
+    ("video_id", []), ("video_id", 7.5)])
+def test_validate_non_string_graph_or_video_id_exits_1(tmp_path, key, value):
+    doc = acyclic_doc()
+    doc[key] = value
+    payload = validate_error(tmp_path, json.dumps(doc))  # NaN as json writes
+    assert f"{key} must be a string" in payload["message"]
+    assert payload["graph_id"] == (None if key == "graph_id" else "gcyc")
+
+
+def test_validate_nan_graph_id_before_malformed_nodes_exits_1(tmp_path):
+    payload = validate_error(
+        tmp_path, '{"graph_id": NaN, "nodes": 1, "edges": []}')
+    assert "graph_id must be a string" in payload["message"]
+    assert payload["graph_id"] is None
 
 
 @pytest.mark.parametrize("edge_types", [[["Conjunction"]], 5])
@@ -478,9 +504,11 @@ def test_train_command_bad_config_exits_1(tmp_path):
     ('{"synthetic": {"role_gain": {"leaf": "x"}}}',
      "role_gain.leaf must be a number"),
     ('{"synthetic": {"clusters": 2}}', "synthetic.clusters"),
+    ('{"seed": -1}', "seed must be >= 0"),
+    ('{"synthetic": {"seed": -1}}', "synthetic.seed must be >= 0"),
 ], ids=["list", "unknown_key", "unknown_nested_key", "non_object_synthetic",
         "string_steps", "empty_role_gain", "string_role_gain",
-        "empty_split"])
+        "empty_split", "negative_seed", "negative_synthetic_seed"])
 def test_malformed_config_exits_1_naming_the_key(tmp_path, command, text,
                                                  named):
     cfg = tmp_path / "bad.json"
@@ -570,6 +598,78 @@ def test_ablate_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "row,main_acc,sub_acc,c_f,nc_f"
     assert len(lines) == 6
+
+
+def unwritable_out_error(result, path):
+    """exit 1 with one strict JSON error object that names `path`."""
+    assert result.exit_code == 1, result.output
+    payload = strict_json(result.stderr)
+    assert set(payload) >= {"error", "message"}
+    assert str(path) in payload["message"]
+    return payload
+
+
+def test_eval_out_in_missing_directory_exits_1(tmp_path):
+    gpath, gold, pred = write_row1_fixture(tmp_path)
+    out = tmp_path / "nodir" / "r.json"
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(gpath), "--gold", str(gold),
+        "--pred", str(pred), "--out", str(out),
+    ])
+    assert unwritable_out_error(result, out)["error"] == "FileNotFoundError"
+
+
+def count_training_steps(monkeypatch):
+    from qdqa import train as tr
+
+    steps = []
+    forward = tr.forward_losses
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_losses", counting)
+    return steps
+
+
+def test_train_out_below_a_file_exits_1_before_step_1(tmp_path,
+                                                      monkeypatch):
+    cfg_path = tiny_run_config(tmp_path)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    steps = count_training_steps(monkeypatch)
+    result = RUNNER.invoke(main, [
+        "train", "--config", str(cfg_path), "--out", str(out),
+    ])
+    assert unwritable_out_error(result, out)["error"] == "NotADirectoryError"
+    assert not steps
+
+
+def test_ablate_out_in_missing_directory_exits_1_before_training(
+        tmp_path, monkeypatch):
+    cfg_path = tiny_run_config(tmp_path)
+    out = tmp_path / "nodir" / "table.csv"
+    steps = count_training_steps(monkeypatch)
+    result = RUNNER.invoke(main, [
+        "ablate", "--config", str(cfg_path), "--out", str(out),
+    ])
+    assert unwritable_out_error(result, out)["error"] == "FileNotFoundError"
+    assert not steps
+
+
+def test_decompose_out_in_missing_directory_exits_1(tmp_path):
+    questions = tmp_path / "q.txt"
+    questions.write_text("Does A happen and B happen?\n")
+    stub = tmp_path / "stub.json"
+    stub.write_text(json.dumps(
+        {"responses": ["1, 2, 3", good_graph_json("cli01")]}))
+    out = tmp_path / "nodir" / "graphs.jsonl"
+    result = RUNNER.invoke(main, [
+        "decompose", "--questions", str(questions), "--stub", str(stub),
+        "--out", str(out),
+    ])
+    assert unwritable_out_error(result, out)["error"] == "FileNotFoundError"
 
 
 def test_gradcheck_command():

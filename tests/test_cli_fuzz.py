@@ -1,12 +1,13 @@
 """Fuzz `qdqa validate`, `qdqa eval` and `qdqa decompose` with mutated
 input files (one mutation inserts a line nested too deeply to decode), and
 the numeric options `eval --beta`, `gradcheck --instances` and
-`decompose --k` with odd values: every run exits 0, 1 or 2, exit 1 prints
-one JSON object on stderr, exit 2 is a usage error, and no run ends in an
-uncaught exception.  `train` and `ablate` are not fuzzed: each run trains
-a model."""
+`decompose --k` with odd values, and `train`/`ablate` configs with one
+field mutated: every run exits 0, 1 or 2, exit 1 prints one strict JSON
+object (no NaN) on stderr, exit 2 is a usage error, and no run ends in an
+uncaught exception."""
 
 import json
+from dataclasses import fields
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,7 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qdqa import qdg
 from qdqa.cli import main
 from qdqa.decompose import demo_bank
-from test_cli import write_row1_fixture
+from qdqa.train import RunConfig
+from test_cli import strict_json, write_row1_fixture
 from test_decompose import good_graph_json
 
 RUNNER = CliRunner()
@@ -119,7 +121,7 @@ def check_exit(result, codes=(0, 1)):
 def check_contract(result, codes=(0, 1)):
     check_exit(result, codes)
     if result.exit_code == 1:
-        payload = json.loads(result.stderr)
+        payload = strict_json(result.stderr)
         assert isinstance(payload, dict) and isinstance(payload["error"], str)
         assert isinstance(payload["message"], str)
     elif result.exit_code == 0:
@@ -255,5 +257,67 @@ def test_decompose_k_keeps_the_error_contract(tmp_path_factory):
     @settings(max_examples=30, deadline=None, database=None)
     def run(k):
         check_decompose(paths, work / "graphs.jsonl", k)
+
+    run()
+
+
+# a config that trains in about 0.1 s (ablate: 0.2 s) on one CPU
+TINY_RUN = {"steps": 1, "eval_every": 1, "synthetic": {"clusters": 7}}
+# these grow every graph exponentially, so their draws stay this small
+GRAPH_SHAPE = {("synthetic", "max_depth"): 3, ("synthetic", "subs_max"): 3}
+
+
+def config_keys():
+    """Key path and default of every field of a run config, the role gains
+    included."""
+    cfg = RunConfig()
+    keys = [((f.name,), getattr(cfg, f.name)) for f in fields(cfg)
+            if f.name != "synthetic"]
+    keys += [(("synthetic", f.name), getattr(cfg.synthetic, f.name))
+             for f in fields(cfg.synthetic) if f.name != "role_gain"]
+    return keys + [(("synthetic", "role_gain", role), gain)
+                   for role, gain in cfg.synthetic.role_gain.items()]
+
+
+@st.composite
+def mutated_configs(draw):
+    """TINY_RUN with one field set to a value of the wrong type, a
+    non-finite float, zero, a negative or a small int, or with an unknown
+    key beside it."""
+    key, default = draw(st.sampled_from(config_keys()))
+    doc = json.loads(json.dumps(TINY_RUN))
+    if key[-2:-1] == ("role_gain",):
+        doc["synthetic"]["role_gain"] = dict(RunConfig().synthetic.role_gain)
+    owner = doc
+    for part in key[:-1]:
+        owner = owner.setdefault(part, {})
+    how = draw(st.sampled_from(["type", "unknown", "non_finite", "zero",
+                                "negative", "small"]))
+    if how == "unknown":
+        owner[key[-1] + "_x"] = default
+        return doc
+    owner[key[-1]] = draw({
+        "type": st.sampled_from(["1", None, [], {}, True, 1.5]),
+        "non_finite": st.sampled_from([float("nan"), float("inf"),
+                                       float("-inf")]),
+        "zero": st.sampled_from([0, 0.0]),
+        "negative": st.sampled_from([-1, -3, -0.5]),
+        "small": st.integers(1, GRAPH_SHAPE.get(key, 16)),
+    }[how])
+    return doc
+
+
+def test_train_and_ablate_configs_keep_the_error_contract(tmp_path_factory):
+    work = tmp_path_factory.mktemp("configs")
+    cfg = work / "run.json"
+
+    @given(doc=mutated_configs())
+    @settings(max_examples=80, deadline=None, database=None)
+    def run(doc):
+        cfg.write_text(json.dumps(doc))  # NaN and Infinity as json writes
+        for command, out in (("train", work / "run"),
+                             ("ablate", work / "table.csv")):
+            check_contract(RUNNER.invoke(main, [
+                command, "--config", str(cfg), "--out", str(out)]))
 
     run()

@@ -246,12 +246,13 @@ def per_cluster_logits(joint, clusters, store, layers):
             local[nid] = len(local)
     logits = {}
     for g, rows_map in clusters:
-        feats = {nid: autodiff.getitem(joint, local[nid]) for nid in rows_map}
-        order, outputs, _ = tr.aggregator.gat_forward(feats, g, store,
-                                                      layers)
-        for nid, t in tr.aggregator.predict_answers(order, outputs,
-                                                    store).items():
-            logits[nid] = t.data
+        order = sorted(rows_map)
+        feats = autodiff.stack([autodiff.getitem(joint, local[nid])
+                                for nid in order])
+        outputs, _ = tr.aggregator.gat_forward(
+            feats, tr.aggregator.neighbor_mask(g, order), store, layers)
+        head = tr.aggregator.predict_answers(outputs, store).data
+        logits.update(zip(order, head))
     return logits
 
 
@@ -340,7 +341,7 @@ def test_fused_ops_keep_gradients_bitwise(monkeypatch, row, batch):
 @pytest.mark.parametrize("batch", [[0, 0], [0, 1, 2]])
 def test_fused_aggregator_nodes_keep_gradients_bitwise(monkeypatch, row,
                                                        batch):
-    """The GAT layers, edge projections, CE mean and triplet mean against
+    """The GAT layers, edge projections, batch CEs and triplet mean against
     their op chains; batch [0, 0] holds one cluster twice."""
     cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
     train_pack, _, _ = packs_for(cfg)
