@@ -7,6 +7,28 @@ distractor answer embedding and noise.  Parent answers are computed from
 children through a symbolic program (AND / OR / EQUALS / FIRST); the
 operator and child position are cued on the child question features, so a
 parent's answer is decodable only by aggregating over its children.
+
+Draw order.  `generate_instance(config, i)` draws everything from one
+generator seeded with (config.seed, 1, i), so every dataset byte, and so
+every report, rests on the order of its draws.  `_build_graph` draws first,
+while it grows the program, picks operators and draws the leaf answers.
+Then each node, in id order, makes these draws and no others:
+
+1. its question tokens, `normal(size=(n_q, h_q))`;
+2. its relevant-clip count, `integers(relevant_min, relevant_max + 1)`;
+3. its planted clips, `choice(n_c, n_rel, replace=False)`;
+4. its clip noise, one `normal` over the f_o, f_a and f_m sizes in turn;
+5. one distractor among the other answers for each irrelevant clip, in
+   clip order: `integers(len(vocab) - 1, size=n_c - n_rel)`.
+
+Only then does the float arithmetic run, once over the cluster's stacked
+`[n, ...]` arrays; it never touches the generator.  A reordered, added or
+dropped draw shifts every later draw of its cluster, and so changes the
+dataset bytes and every report.  So does a float operation that rounds
+differently from the per-node one, such as one matrix product in place of
+a stack of vector-matrix products.  `test_generated_datasets_are_byte_pinned`
+pins the bytes, and `test_stacked_arithmetic_matches_the_per_node_loop`
+checks them against a per-node loop that interleaves draws and arithmetic.
 """
 
 from __future__ import annotations
@@ -71,6 +93,11 @@ class SyntheticConfig:
             raise ConfigError("relevant-clip range must lie within [1, n_c]")
         if self.subs_min > self.subs_max:
             raise ConfigError("bad subs range")
+        # `rng.random() < p` would take 2.0 as "always open" and NaN as
+        # "never", with no error
+        if not 0.0 <= self.open_leaf_prob <= 1.0:
+            raise ConfigError(f"open_leaf_prob must lie in [0, 1], got "
+                              f"{self.open_leaf_prob}")
         if self.seed < 0:  # numpy's seeding error would not name the key
             raise ConfigError(f"synthetic.seed must be >= 0, got {self.seed}")
         if not isinstance(self.role_gain, dict):
@@ -167,7 +194,7 @@ def _build_graph(config: SyntheticConfig, index: int, rng):
                 "open" if rng.random() < config.open_leaf_prob else "binary"
             )
             return
-        op = str(rng.choice(list(OP_EDGE_TYPES)))
+        op = list(OP_EDGE_TYPES)[rng.integers(len(OP_EDGE_TYPES))]
         n_children = int(rng.integers(config.subs_min, config.subs_max + 1))
         children = [new_id() for _ in range(n_children)]
         for child in children:
@@ -189,7 +216,7 @@ def _build_graph(config: SyntheticConfig, index: int, rng):
     grow(root, 0)
     if root not in program:
         # force at least one decomposition level for the main question
-        op = str(rng.choice(["AND", "OR"]))
+        op = ("AND", "OR")[rng.integers(2)]
         children = [new_id(), new_id()]
         for child in children:
             kinds[child] = "binary"
@@ -207,10 +234,8 @@ def _build_graph(config: SyntheticConfig, index: int, rng):
         if node_id in gold:
             return gold[node_id]
         if node_id not in program:
-            if kinds[node_id] == "binary":
-                gold[node_id] = str(rng.choice(BINARY_VOCAB))
-            else:
-                gold[node_id] = str(rng.choice(OPEN_VOCAB))
+            vocab = BINARY_VOCAB if kinds[node_id] == "binary" else OPEN_VOCAB
+            gold[node_id] = vocab[rng.integers(len(vocab))]
             return gold[node_id]
         op, children = program[node_id]
         gold[node_id] = apply_program(op, [resolve(c) for c in children])
@@ -251,73 +276,81 @@ def _build_graph(config: SyntheticConfig, index: int, rng):
 
 def generate_instance(config: SyntheticConfig, index: int,
                       bank: SignalBank | None = None) -> SyntheticInstance:
-    """Deterministic for (config.seed, index)."""
+    """Deterministic for (config.seed, index); the module docstring gives
+    the draw order that fixes its bytes."""
     bank = bank or SignalBank(config)
     rng = np.random.default_rng([config.seed, 1, index])
     doc, program, gold = _build_graph(config, index, rng)
     graph = from_dict(doc)
+    nodes = graph.nodes
+    n, n_c, h_v = len(nodes), config.n_c, config.h_v
     vocab_index = config.vocab_index
+    gold_rows = np.array([vocab_index[gold[node.id]] for node in nodes])
+    shapes = ((n_c, config.n_f, config.n_o, h_v), (n_c, config.n_f, h_v),
+              (n_c, h_v))
+    sizes = [math.prod(shape) for shape in shapes]
 
-    edge_info = {}
-    for pid, (op, children) in program.items():
-        for pos, child in enumerate(children):
-            edge_info[child] = (OP_EDGE_TYPES[op], pos)
-
-    question_features = {}
-    videos = {}
-    planted = {}
-    for node in graph.nodes:
-        q = rng.normal(size=(config.n_q, config.h_q))
-        q /= np.linalg.norm(q, axis=-1, keepdims=True)
-        if node.id in edge_info:
-            etype, pos = edge_info[node.id]
-            cue = bank.op_emb[etype] + bank.position_emb[
-                min(pos, len(bank.position_emb) - 1)
-            ]
-            q = q + config.op_signal_scale * cue
-        question_features[node.id] = q
-
+    # draw phase: every rng draw, node by node in id order
+    q = np.empty((n, config.n_q, config.h_q))
+    noise = np.empty((n, sum(sizes)))
+    planted, picks = {}, []
+    for i, node in enumerate(nodes):
+        q[i] = rng.normal(size=q.shape[1:])
         n_rel = int(rng.integers(config.relevant_min,
                                  config.relevant_max + 1))
-        rel = sorted(rng.choice(config.n_c, size=n_rel, replace=False))
+        rel = sorted(rng.choice(n_c, size=n_rel, replace=False))
         planted[node.id] = [int(c) for c in rel]
+        noise[i] = rng.normal(size=noise.shape[1])
+        # one pick among the other answers per irrelevant clip
+        picks.append(rng.integers(len(vocab_index) - 1, size=n_c - n_rel))
 
-        f_o = config.noise_scale * rng.normal(
-            size=(config.n_c, config.n_f, config.n_o, config.h_v)
-        )
-        f_a = config.noise_scale * rng.normal(
-            size=(config.n_c, config.n_f, config.h_v)
-        )
-        f_m = config.noise_scale * rng.normal(
-            size=(config.n_c, config.h_v)
-        )
-        gain = config.role_gain[node.role]
-        ans_vec = bank.answer_emb[vocab_index[gold[node.id]]]
-        q_bar = q.mean(axis=0)
-        signal = (
-            config.relevance_scale * bank.relevance_dir
-            + config.answer_scale * gain * ans_vec
-            + config.question_scale * (q_bar @ bank.question_map)
-        )
-        rel_set = set(planted[node.id])
-        for c in range(config.n_c):
-            if c in rel_set:
-                add = signal
-            else:
-                wrong = [a for a in config.vocab if a != gold[node.id]]
-                distractor = bank.answer_emb[
-                    vocab_index[str(rng.choice(wrong))]
-                ]
-                add = config.answer_scale * gain * distractor
-            f_o[c] += add
-            f_a[c] += add
-            f_m[c] += add
-        videos[node.id] = VideoFeatures(f_o, f_a, f_m)
+    # arithmetic phase: no draws, the same float ops on the stacked rows
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    edge_info = {child: (OP_EDGE_TYPES[op], pos)
+                 for op, children in program.values()
+                 for pos, child in enumerate(children)}
+    cued = [(i, *edge_info[node.id]) for i, node in enumerate(nodes)
+            if node.id in edge_info]
+    rows = [i for i, _, _ in cued]
+    cue = np.stack([bank.op_emb[etype] for _, etype, _ in cued]) + (
+        bank.position_emb[[min(pos, len(bank.position_emb) - 1)
+                           for _, _, pos in cued]])
+    q[rows] = q[rows] + config.op_signal_scale * cue[:, None, :]
+
+    # (answer_scale * gain) first, in Python floats: the grouping fixes
+    # the rounding
+    answer_gain = np.array([config.answer_scale * config.role_gain[node.role]
+                            for node in nodes])[:, None]
+    q_bar = q.mean(axis=1)
+    # [n, 1, h_q] @ map runs one vector-matrix product per row, whose bits
+    # a single [n, h_q] matrix product would not reproduce
+    signal = (
+        config.relevance_scale * bank.relevance_dir
+        + answer_gain * bank.answer_emb[gold_rows]
+        + config.question_scale * (q_bar[:, None] @ bank.question_map)[:, 0]
+    )
+    relevant = np.zeros((n, n_c), dtype=bool)
+    relevant[np.repeat(np.arange(n), [len(r) for r in planted.values()]),
+             np.concatenate(list(planted.values()))] = True
+    # the k-th other answer skips the gold one: k, or k + 1 past gold
+    distractor = np.zeros((n, n_c), dtype=np.int64)
+    distractor[~relevant] = np.concatenate(picks)
+    distractor += distractor >= gold_rows[:, None]
+    add = np.where(relevant[..., None], signal[:, None],
+                   answer_gain[..., None] * bank.answer_emb[distractor])
+    noise *= config.noise_scale
+    parts = np.split(noise, np.cumsum(sizes)[:-1], axis=1)
+    f_o, f_a, f_m = (part.reshape(n, *shape)
+                     for part, shape in zip(parts, shapes))
+    f_o += add[:, :, None, None]
+    f_a += add[:, :, None]
+    f_m += add
 
     return SyntheticInstance(
         graph=graph,
-        videos=videos,
-        question_features=question_features,
+        videos={node.id: VideoFeatures(f_o[i], f_a[i], f_m[i])
+                for i, node in enumerate(nodes)},
+        question_features={node.id: q[i] for i, node in enumerate(nodes)},
         gold=gold,
         planted_relevance=planted,
         program=program,

@@ -470,8 +470,9 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
     writes report.json, epochs.csv, runtime.json, and checkpoint/.
     """
     started = time.monotonic()
-    rng = np.random.default_rng([config.seed, 77])
     ds = generate_dataset(config.synthetic)
+    generate_s = time.monotonic() - started
+    rng = np.random.default_rng([config.seed, 77])
     for name in ("train", "validation", "test"):
         if not getattr(ds, name):
             raise ConfigError(
@@ -482,9 +483,11 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     vocab_index = config.synthetic.vocab_index
+    packing = time.monotonic()
     train_pack = pack_split(ds.train, vocab_index)
     val_pack = pack_split(ds.validation, vocab_index)
     test_pack = pack_split(ds.test, vocab_index)
+    pack_s = time.monotonic() - packing
 
     store = init_params(config)
     opt = Adam(store, lr=config.lr)
@@ -557,7 +560,8 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
         (out / "report.json").write_text(report.to_json())
         (out / "epochs.csv").write_text(report.epochs_csv())
         (out / "runtime.json").write_text(
-            json.dumps({"wall_clock": report.wall_clock}) + "\n"
+            json.dumps({"wall_clock": report.wall_clock,
+                        "generate_s": generate_s, "pack_s": pack_s}) + "\n"
         )
         store.save(out / "checkpoint")
         (out / "run_config.json").write_text(config.to_json())

@@ -506,9 +506,12 @@ def test_train_command_bad_config_exits_1(tmp_path):
     ('{"synthetic": {"clusters": 2}}', "synthetic.clusters"),
     ('{"seed": -1}', "seed must be >= 0"),
     ('{"synthetic": {"seed": -1}}', "synthetic.seed must be >= 0"),
+    ('{"steps": 2, "synthetic": {"open_leaf_prob": 2.0, "clusters": 8}}',
+     "open_leaf_prob must lie in"),
 ], ids=["list", "unknown_key", "unknown_nested_key", "non_object_synthetic",
         "string_steps", "empty_role_gain", "string_role_gain",
-        "empty_split", "negative_seed", "negative_synthetic_seed"])
+        "empty_split", "negative_seed", "negative_synthetic_seed",
+        "open_leaf_prob_above_one"])
 def test_malformed_config_exits_1_naming_the_key(tmp_path, command, text,
                                                  named):
     cfg = tmp_path / "bad.json"

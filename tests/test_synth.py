@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,14 @@ def test_config_validation():
         SyntheticConfig(relevant_max=99)
     with pytest.raises(synth.ConfigError):
         SyntheticConfig(subs_min=4, subs_max=2)
+
+
+@pytest.mark.parametrize("prob", [2.0, -0.1, float("nan"), float("inf")])
+def test_open_leaf_prob_must_be_a_probability(prob):
+    with pytest.raises(synth.ConfigError, match="open_leaf_prob"):
+        SyntheticConfig(open_leaf_prob=prob)
+    SyntheticConfig(open_leaf_prob=0)
+    SyntheticConfig(open_leaf_prob=1.0)
 
 
 @pytest.mark.parametrize("role_gain, named", [
@@ -166,3 +177,106 @@ def test_relevance_oracle_beats_random_indicator():
             random_total += ce(pooled_rand, inst.gold[nid])
             n_terms += 1
     assert planted_total / n_terms < random_total / n_terms
+
+
+def _per_node_instance(config, index, bank):
+    """generate_instance's features as one loop over the nodes that
+    interleaves the draws with the float arithmetic: the reference that
+    the draw-then-stack version must match bit for bit."""
+    rng = np.random.default_rng([config.seed, 1, index])
+    doc, program, gold = synth._build_graph(config, index, rng)
+    vocab_index = config.vocab_index
+    edge_info = {child: (synth.OP_EDGE_TYPES[op], pos)
+                 for op, children in program.values()
+                 for pos, child in enumerate(children)}
+    out = {}
+    for node in qdg.from_dict(doc).nodes:
+        q = rng.normal(size=(config.n_q, config.h_q))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        if node.id in edge_info:
+            etype, pos = edge_info[node.id]
+            q = q + config.op_signal_scale * (
+                bank.op_emb[etype]
+                + bank.position_emb[min(pos, len(bank.position_emb) - 1)])
+        n_rel = int(rng.integers(config.relevant_min,
+                                 config.relevant_max + 1))
+        rel = sorted(rng.choice(config.n_c, size=n_rel, replace=False))
+        f_o = config.noise_scale * rng.normal(
+            size=(config.n_c, config.n_f, config.n_o, config.h_v))
+        f_a = config.noise_scale * rng.normal(
+            size=(config.n_c, config.n_f, config.h_v))
+        f_m = config.noise_scale * rng.normal(size=(config.n_c, config.h_v))
+        gain = config.role_gain[node.role]
+        signal = (
+            config.relevance_scale * bank.relevance_dir
+            + config.answer_scale * gain
+            * bank.answer_emb[vocab_index[gold[node.id]]]
+            + config.question_scale * (q.mean(axis=0) @ bank.question_map)
+        )
+        for c in range(config.n_c):
+            if c in rel:
+                add = signal
+            else:
+                wrong = [a for a in config.vocab if a != gold[node.id]]
+                add = config.answer_scale * gain * bank.answer_emb[
+                    vocab_index[str(rng.choice(wrong))]]
+            f_o[c] += add
+            f_a[c] += add
+            f_m[c] += add
+        out[node.id] = ([int(c) for c in rel], q, f_o, f_a, f_m)
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    SyntheticConfig(clusters=12, seed=4),
+    SyntheticConfig(n_c=9, relevant_max=5, h_v=8, h_q=8, n_o=3, subs_max=10,
+                    open_leaf_prob=0.9, clusters=12, seed=1),
+    SyntheticConfig(n_c=3, relevant_min=3, relevant_max=3, n_q=1,
+                    role_gain={"leaf": 2, "intermediate": 0, "main": 1},
+                    clusters=12, seed=2),
+], ids=["default", "wide", "all_relevant"])
+def test_stacked_arithmetic_matches_the_per_node_loop(cfg):
+    bank = SignalBank(cfg)
+    for index in range(cfg.clusters):
+        inst = synth.generate_instance(cfg, index, bank)
+        ref = _per_node_instance(cfg, index, bank)
+        assert list(ref) == [node.id for node in inst.graph.nodes]
+        for nid, (rel, q, f_o, f_a, f_m) in ref.items():
+            v = inst.videos[nid]
+            assert inst.planted_relevance[nid] == rel
+            for got, want in ((inst.question_features[nid], q),
+                              (v.f_o, f_o), (v.f_a, f_a), (v.f_m, f_m)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def _dataset_digest(cfg: SyntheticConfig) -> str:
+    """sha256 over every byte generate_dataset produces, split by split."""
+    h = hashlib.sha256()
+    ds = synth.generate_dataset(cfg)
+    for split in (ds.train, ds.validation, ds.test):
+        h.update(b"|split|")
+        for inst in split:
+            h.update(qdg.serialize(inst.graph).encode())
+            h.update(json.dumps([inst.gold, inst.planted_relevance,
+                                 inst.program], sort_keys=True).encode())
+            for nid in sorted(inst.videos):
+                v = inst.videos[nid]
+                for arr in (v.f_o, v.f_a, v.f_m,
+                            inst.question_features[nid]):
+                    h.update(repr((arr.dtype.str, arr.shape)).encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (SyntheticConfig(seed=0),
+     "a20a8212e29073d282eeecb2bc30a2d0057f75693b70b3293b8b2333b0cf892d"),
+    (SyntheticConfig(n_c=9, relevant_max=5, h_v=8, h_q=8, n_o=3, subs_max=4,
+                     open_leaf_prob=0.9, seed=1, clusters=50),
+     "f3dcee23de4cca95b9b9fd26a0eead0c525c02add0cafaa69354650c82a07bb7"),
+])
+def test_generated_datasets_are_byte_pinned(cfg, digest):
+    # every report and checkpoint rests on these bytes: a reordered rng
+    # draw or a changed float operation order moves the digest
+    assert _dataset_digest(cfg) == digest

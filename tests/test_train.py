@@ -482,7 +482,7 @@ def test_relevance_tally_matches_set_loop(monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "forward_losses keys its local row map by node id, so every node of a "
+    "train._cluster_logits keys its row map by node id, so every node of a "
     "cluster repeated in one batch, in both copies, is fed the joint "
     "feature of that cluster's first node"))
 def test_repeated_cluster_in_batch_keeps_its_rows():
@@ -640,3 +640,12 @@ def test_report_json_excludes_wall_clock():
     assert "wall_clock" not in payload
     csv_text = report.epochs_csv()
     assert csv_text.count("\n") == len(report.epochs) + 1
+
+
+def test_runtime_json_times_the_setup_phases(tmp_path):
+    train(tiny_config(steps=3, eval_every=3), out_dir=tmp_path)
+    runtime = json.loads((tmp_path / "runtime.json").read_text())
+    assert set(runtime) == {"wall_clock", "generate_s", "pack_s"}
+    for key in ("generate_s", "pack_s"):
+        assert 0.0 <= runtime[key] <= runtime["wall_clock"]
+    assert "generate_s" not in (tmp_path / "report.json").read_text()
