@@ -35,12 +35,11 @@ def init_aggregator_params(store: ParamStore, h: int, layers: int,
     store.linear("ag.edge", 2 * vocab_size, h)
 
 
-def neighbor_mask(g: QDG, order: list[str]) -> np.ndarray:
-    """mask[i, j] = 1 where node i may attend node j: its children and
-    itself (self-loop keeps childless nodes alive)."""
-    pos = {nid: i for i, nid in enumerate(order)}
-    n = len(order)
-    mask = np.eye(n)
+def neighbor_mask(g: QDG) -> np.ndarray:
+    """mask[i, j] = 1 where node i may attend node j, in `g.nodes` order:
+    its children and itself (self-loop keeps childless nodes alive)."""
+    pos = {node.id: i for i, node in enumerate(g.nodes)}
+    mask = np.eye(len(pos))
     for e in g.edges:
         mask[pos[e.parent], pos[e.child]] = 1.0
     return mask

@@ -14,32 +14,10 @@ implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, ShapeError, Tensor
-
-
-@dataclass
-class VideoFeatures:
-    """Three-level clip features; leading clip axis is shared."""
-
-    f_o: np.ndarray  # [n_c, n_f, n_o, h_v]
-    f_a: np.ndarray  # [n_c, n_f, h_v]
-    f_m: np.ndarray  # [n_c, h_v]
-
-    def __post_init__(self):
-        self.f_o = np.asarray(self.f_o, dtype=np.float64)
-        self.f_a = np.asarray(self.f_a, dtype=np.float64)
-        self.f_m = np.asarray(self.f_m, dtype=np.float64)
-        n_c = self.f_m.shape[0]
-        if self.f_o.shape[0] != n_c or self.f_a.shape[0] != n_c:
-            raise ShapeError("clip counts differ across feature levels")
-        if not (np.isfinite(self.f_o).all() and np.isfinite(self.f_a).all()
-                and np.isfinite(self.f_m).all()):
-            raise ValueError("non-finite video features")
 
 
 def init_aligner_params(store: ParamStore, h_v: int, heads: int = 4):

@@ -1,12 +1,15 @@
 """Synthetic VidQA clusters with planted clip relevance and answer programs.
 
-Each instance is one decomposition graph plus per-question video views:
-relevant clips carry a fixed relevance direction, the node's gold-answer
-embedding, and a question-correlated component; irrelevant clips carry a
-distractor answer embedding and noise.  Parent answers are computed from
-children through a symbolic program (AND / OR / EQUALS / FIRST); the
-operator and child position are cued on the child question features, so a
-parent's answer is decodable only by aggregating over its children.
+Each instance is one decomposition graph plus one video view per question,
+stacked with the question tokens and planted clips into `[n, ...]` arrays
+whose rows follow `graph.nodes` (id) order: the layout `train.pack_split`
+concatenates and the model reads.  Relevant clips carry a fixed relevance
+direction, the node's gold-answer embedding, and a question-correlated
+component; irrelevant clips carry a distractor answer embedding and noise.
+Parent answers are computed from children through a symbolic program (AND /
+OR / EQUALS / FIRST); the operator and child position are cued on the child
+question features, so a parent's answer is decodable only by aggregating
+over its children.
 
 Draw order.  `generate_instance(config, i)` draws everything from one
 generator seeded with (config.seed, 1, i), so every dataset byte, and so
@@ -38,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aligner import VideoFeatures
 from .qdg import QDG, VALID_ROLES, from_dict
 
 OPEN_VOCAB = ("red", "blue", "green")
@@ -126,11 +128,15 @@ class SyntheticConfig:
 
 @dataclass
 class SyntheticInstance:
+    """One cluster, with one array row per node in `graph.nodes` order."""
+
     graph: QDG
-    videos: dict  # node id -> VideoFeatures (that question's view)
-    question_features: dict  # node id -> np.ndarray [n_q, h_q]
+    f_o: np.ndarray  # [n, n_c, n_f, n_o, h_v]: each question's video view
+    f_a: np.ndarray  # [n, n_c, n_f, h_v]
+    f_m: np.ndarray  # [n, n_c, h_v]
+    q: np.ndarray  # [n, n_q, h_q] question tokens
+    planted: np.ndarray  # [n, n_c] bool, True at planted-relevant clips
     gold: dict  # node id -> answer token
-    planted_relevance: dict  # node id -> sorted clip index list
     program: dict  # parent id -> (op, ordered children ids)
 
 
@@ -293,13 +299,12 @@ def generate_instance(config: SyntheticConfig, index: int,
     # draw phase: every rng draw, node by node in id order
     q = np.empty((n, config.n_q, config.h_q))
     noise = np.empty((n, sum(sizes)))
-    planted, picks = {}, []
-    for i, node in enumerate(nodes):
+    planted, picks = np.zeros((n, n_c), dtype=bool), []
+    for i in range(n):
         q[i] = rng.normal(size=q.shape[1:])
         n_rel = int(rng.integers(config.relevant_min,
                                  config.relevant_max + 1))
-        rel = sorted(rng.choice(n_c, size=n_rel, replace=False))
-        planted[node.id] = [int(c) for c in rel]
+        planted[i, rng.choice(n_c, size=n_rel, replace=False)] = True
         noise[i] = rng.normal(size=noise.shape[1])
         # one pick among the other answers per irrelevant clip
         picks.append(rng.integers(len(vocab_index) - 1, size=n_c - n_rel))
@@ -329,32 +334,23 @@ def generate_instance(config: SyntheticConfig, index: int,
         + answer_gain * bank.answer_emb[gold_rows]
         + config.question_scale * (q_bar[:, None] @ bank.question_map)[:, 0]
     )
-    relevant = np.zeros((n, n_c), dtype=bool)
-    relevant[np.repeat(np.arange(n), [len(r) for r in planted.values()]),
-             np.concatenate(list(planted.values()))] = True
     # the k-th other answer skips the gold one: k, or k + 1 past gold
     distractor = np.zeros((n, n_c), dtype=np.int64)
-    distractor[~relevant] = np.concatenate(picks)
+    distractor[~planted] = np.concatenate(picks)
     distractor += distractor >= gold_rows[:, None]
-    add = np.where(relevant[..., None], signal[:, None],
+    add = np.where(planted[..., None], signal[:, None],
                    answer_gain[..., None] * bank.answer_emb[distractor])
-    noise *= config.noise_scale
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        noise *= config.noise_scale
     parts = np.split(noise, np.cumsum(sizes)[:-1], axis=1)
     f_o, f_a, f_m = (part.reshape(n, *shape)
                      for part, shape in zip(parts, shapes))
     f_o += add[:, :, None, None]
     f_a += add[:, :, None]
     f_m += add
-
-    return SyntheticInstance(
-        graph=graph,
-        videos={node.id: VideoFeatures(f_o[i], f_a[i], f_m[i])
-                for i, node in enumerate(nodes)},
-        question_features={node.id: q[i] for i, node in enumerate(nodes)},
-        gold=gold,
-        planted_relevance=planted,
-        program=program,
-    )
+    if not all(np.isfinite(f).all() for f in (f_o, f_a, f_m)):
+        raise ValueError("non-finite video features")
+    return SyntheticInstance(graph, f_o, f_a, f_m, q, planted, gold, program)
 
 
 @dataclass

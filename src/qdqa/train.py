@@ -14,6 +14,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +148,9 @@ class PackedSplit:
     gold: np.ndarray  # [N] vocab indices
     node_ids: list
     planted: np.ndarray  # [N, n_c] bool, True at planted-relevant clips
-    clusters: list  # (graph, {node id -> global row})
+    # (graph, {node id -> global row}); a cluster's rows run contiguously
+    # in `graph.nodes` (id) order, from where the previous cluster's ended
+    clusters: list
 
     @property
     def n_nodes(self) -> int:
@@ -155,31 +158,22 @@ class PackedSplit:
 
 
 def pack_split(instances, vocab_index: dict) -> PackedSplit:
-    f_o, f_a, f_m, f_q, gold = [], [], [], [], []
-    node_ids, planted, clusters, graphs = [], [], [], []
+    """The instances' stacked arrays concatenated in order."""
+    node_ids, gold, clusters = [], [], []
     for inst in instances:
-        rows = {}
-        for node in inst.graph.nodes:  # nodes are id-sorted
-            rows[node.id] = len(node_ids)
-            v = inst.videos[node.id]
-            f_o.append(v.f_o)
-            f_a.append(v.f_a)
-            f_m.append(v.f_m)
-            f_q.append(inst.question_features[node.id])
-            gold.append(vocab_index[inst.gold[node.id]])
-            node_ids.append(node.id)
-            planted.append(inst.planted_relevance[node.id])
-        clusters.append((inst.graph, rows))
-        graphs.append(inst.graph)
-    f_m = np.stack(f_m)
-    mask = np.zeros(f_m.shape[:2], dtype=bool)
-    mask[np.repeat(np.arange(len(planted)), [len(r) for r in planted]),
-         np.concatenate(planted)] = True
+        ids = [node.id for node in inst.graph.nodes]
+        clusters.append((inst.graph, dict(zip(ids, count(len(node_ids))))))
+        node_ids += ids
+        gold += [vocab_index[inst.gold[nid]] for nid in ids]
+
+    def cat(name):
+        return np.concatenate([getattr(inst, name) for inst in instances])
+
     return PackedSplit(
-        graphs=graphs,
-        f_o=np.stack(f_o), f_a=np.stack(f_a), f_m=f_m,
-        f_q=np.stack(f_q), gold=np.asarray(gold, dtype=np.int64),
-        node_ids=node_ids, planted=mask, clusters=clusters,
+        graphs=[inst.graph for inst in instances],
+        f_o=cat("f_o"), f_a=cat("f_a"), f_m=cat("f_m"), f_q=cat("q"),
+        gold=np.array(gold, dtype=np.int64),
+        node_ids=node_ids, planted=cat("planted"), clusters=clusters,
     )
 
 
@@ -247,10 +241,11 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     Otherwise (a `store.frozen()` view) it runs once per cluster size on
     the stacked clusters of that size, and its logits are one
     [len(rows), vocab] array in row order; both give the same bits.
-    Training reads `joint` with one `getitem` per node: one index array
-    per cluster would add the gradient sums of `joint` in another order
-    wherever a batch holds the same cluster twice, and so change the
-    bits of such runs.
+    Training reads `joint` with one `getitem` per node, at a row that
+    `_cluster_logits` numbers by distinct node id.  So a batch that holds
+    a cluster twice reads wrong rows: every node of both copies reads one
+    row, and every later cluster reads rows shifted back by the repeated
+    cluster's size.
     """
     f_q = Tensor(pack.f_q[rows])
     if config.use_aligner:
@@ -302,12 +297,12 @@ def _cluster_logits(joint: Tensor, clusters, store: ParamStore,
             local[nid] = len(local)
     maps = []
     for g, rows_map in clusters:
-        order = sorted(rows_map)
-        feats = ad.stack([ad.getitem(joint, local[nid]) for nid in order])
+        feats = ad.stack([ad.getitem(joint, local[nid]) for nid in rows_map])
         outputs, _ = aggregator.gat_forward(
-            feats, aggregator.neighbor_mask(g, order), store, layers)
+            feats, aggregator.neighbor_mask(g), store, layers)
         head = aggregator.predict_answers(outputs, store)
-        maps.append({nid: ad.getitem(head, i) for i, nid in enumerate(order)})
+        maps.append({nid: ad.getitem(head, i)
+                     for i, nid in enumerate(rows_map)})
     return maps
 
 
@@ -318,12 +313,10 @@ def _grouped_logits(joint: Tensor, clusters, store: ParamStore,
     groups: dict[int, tuple[list, list]] = {}
     start = 0
     for g, rows_map in clusters:
-        pos = {nid: start + i for i, nid in enumerate(rows_map)}
-        order = sorted(rows_map)
-        idx, masks = groups.setdefault(len(order), ([], []))
-        idx.append([pos[nid] for nid in order])
-        masks.append(aggregator.neighbor_mask(g, order))
-        start += len(order)
+        idx, masks = groups.setdefault(len(rows_map), ([], []))
+        idx.append(range(start, start + len(rows_map)))
+        masks.append(aggregator.neighbor_mask(g))
+        start += len(rows_map)
     logits = np.empty((start, store["ag.head.b"].shape[0]))
     for idx, masks in groups.values():
         idx = np.asarray(idx)  # [B, n]

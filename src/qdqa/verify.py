@@ -169,7 +169,7 @@ def check_gat_head(seed: int) -> float:
     h, layers, vocab = 6, 2, 5
     store = ParamStore(seed=seed)
     aggregator.init_aggregator_params(store, h, layers, vocab)
-    mask = aggregator.neighbor_mask(_toy_graph(), ["a", "b", "c"])
+    mask = aggregator.neighbor_mask(_toy_graph())
     feats = Tensor(rng.normal(size=(3, h)), requires_grad=True)
     w = rng.normal(size=vocab)
 
@@ -197,7 +197,7 @@ def check_gat_stacked(seed: int) -> float:
     aggregator.init_aggregator_params(store, h, layers, vocab)
     chain = np.eye(3)
     chain[0, 1] = chain[1, 2] = 1.0  # a -> b -> c
-    mask = np.stack([aggregator.neighbor_mask(_toy_graph(), ["a", "b", "c"]),
+    mask = np.stack([aggregator.neighbor_mask(_toy_graph()),
                      chain])
     feats = Tensor(rng.normal(size=(2, 3, h)), requires_grad=True)
     w = Tensor(rng.normal(size=(2, 3, vocab)))

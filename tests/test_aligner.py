@@ -1,8 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from qdqa import aligner, autodiff as ad, train as tr
-from qdqa.aligner import VideoFeatures
 from qdqa.autodiff import ParamStore, Tensor
 from qdqa.synth import SyntheticConfig, generate_instance
 
@@ -19,10 +20,11 @@ def make_store(seed=0, vocab=5):
 
 
 def make_video(rng, n_c=3, n_f=2, n_o=2):
-    return VideoFeatures(
-        rng.normal(size=(n_c, n_f, n_o, H)),
-        rng.normal(size=(n_c, n_f, H)),
-        rng.normal(size=(n_c, H)),
+    """One video's f_o, f_a and f_m clip features."""
+    return SimpleNamespace(
+        f_o=rng.normal(size=(n_c, n_f, n_o, H)),
+        f_a=rng.normal(size=(n_c, n_f, H)),
+        f_m=rng.normal(size=(n_c, H)),
     )
 
 

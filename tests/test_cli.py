@@ -493,6 +493,22 @@ def test_train_command_bad_config_exits_1(tmp_path):
     assert json.loads(result.stderr)["error"] == "ConfigError"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_command_non_finite_features_exit_1_with_json_only(tmp_path):
+    # the noise overflows to inf; numpy's overflow warning must not reach
+    # stderr ahead of the JSON error
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"synthetic": {"noise_scale": 1e308,
+                                             "clusters": 8}, "steps": 1}))
+    result = RUNNER.invoke(main, [
+        "train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 1
+    error = json.loads(result.stderr)
+    assert (error["error"], error["message"]) == (
+        "ValueError", "non-finite video features")
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("text, named", [
     ("[]", "config must"),

@@ -59,12 +59,9 @@ def test_instance_determinism():
     b = synth.generate_instance(CFG, 4)
     assert a.graph == b.graph
     assert a.gold == b.gold
-    assert a.planted_relevance == b.planted_relevance
-    for nid in a.videos:
-        np.testing.assert_array_equal(a.videos[nid].f_o, b.videos[nid].f_o)
-        np.testing.assert_array_equal(
-            a.question_features[nid], b.question_features[nid]
-        )
+    np.testing.assert_array_equal(a.planted, b.planted)
+    np.testing.assert_array_equal(a.f_o, b.f_o)
+    np.testing.assert_array_equal(a.q, b.q)
 
 
 def test_instances_differ_across_indices():
@@ -87,9 +84,9 @@ def test_planted_relevance_sizes_in_range():
                           seed=9)
     for i in range(100):
         inst = synth.generate_instance(cfg, i)
-        for rel in inst.planted_relevance.values():
-            assert cfg.relevant_min <= len(rel) <= cfg.relevant_max
-            assert all(0 <= c < cfg.n_c for c in rel)
+        assert inst.planted.shape == (len(inst.graph.nodes), cfg.n_c)
+        for n_rel in inst.planted.sum(axis=1):
+            assert cfg.relevant_min <= n_rel <= cfg.relevant_max
 
 
 def test_program_consistency():
@@ -168,13 +165,13 @@ def test_relevance_oracle_beats_random_indicator():
     n_terms = 0
     for i in range(100):
         inst = synth.generate_instance(cfg, i, bank)
-        for nid, v in inst.videos.items():
-            rel = inst.planted_relevance[nid]
-            pooled = v.f_m[rel].mean(axis=0)
-            rand = rng.choice(cfg.n_c, size=len(rel), replace=False)
-            pooled_rand = v.f_m[sorted(rand)].mean(axis=0)
-            planted_total += ce(pooled, inst.gold[nid])
-            random_total += ce(pooled_rand, inst.gold[nid])
+        for node, f_m, planted in zip(inst.graph.nodes, inst.f_m,
+                                      inst.planted):
+            pooled = f_m[planted].mean(axis=0)
+            rand = rng.choice(cfg.n_c, size=planted.sum(), replace=False)
+            pooled_rand = f_m[sorted(rand)].mean(axis=0)
+            planted_total += ce(pooled, inst.gold[node.id])
+            random_total += ce(pooled_rand, inst.gold[node.id])
             n_terms += 1
     assert planted_total / n_terms < random_total / n_terms
 
@@ -241,11 +238,10 @@ def test_stacked_arithmetic_matches_the_per_node_loop(cfg):
         inst = synth.generate_instance(cfg, index, bank)
         ref = _per_node_instance(cfg, index, bank)
         assert list(ref) == [node.id for node in inst.graph.nodes]
-        for nid, (rel, q, f_o, f_a, f_m) in ref.items():
-            v = inst.videos[nid]
-            assert inst.planted_relevance[nid] == rel
-            for got, want in ((inst.question_features[nid], q),
-                              (v.f_o, f_o), (v.f_a, f_a), (v.f_m, f_m)):
+        for i, (rel, q, f_o, f_a, f_m) in enumerate(ref.values()):
+            assert np.flatnonzero(inst.planted[i]).tolist() == rel
+            for got, want in ((inst.q[i], q), (inst.f_o[i], f_o),
+                              (inst.f_a[i], f_a), (inst.f_m[i], f_m)):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
@@ -257,25 +253,32 @@ def _dataset_digest(cfg: SyntheticConfig) -> str:
     for split in (ds.train, ds.validation, ds.test):
         h.update(b"|split|")
         for inst in split:
+            nodes = inst.graph.nodes  # id-sorted, as the rows are
+            planted = {node.id: np.flatnonzero(row).tolist()
+                       for node, row in zip(nodes, inst.planted)}
             h.update(qdg.serialize(inst.graph).encode())
-            h.update(json.dumps([inst.gold, inst.planted_relevance,
-                                 inst.program], sort_keys=True).encode())
-            for nid in sorted(inst.videos):
-                v = inst.videos[nid]
-                for arr in (v.f_o, v.f_a, v.f_m,
-                            inst.question_features[nid]):
+            h.update(json.dumps([inst.gold, planted, inst.program],
+                                sort_keys=True).encode())
+            for i in range(len(nodes)):
+                for arr in (inst.f_o[i], inst.f_a[i], inst.f_m[i],
+                            inst.q[i]):
                     h.update(repr((arr.dtype.str, arr.shape)).encode())
                     h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("cfg, digest", [
-    (SyntheticConfig(seed=0),
-     "a20a8212e29073d282eeecb2bc30a2d0057f75693b70b3293b8b2333b0cf892d"),
-    (SyntheticConfig(n_c=9, relevant_max=5, h_v=8, h_q=8, n_o=3, subs_max=4,
-                     open_leaf_prob=0.9, seed=1, clusters=50),
-     "f3dcee23de4cca95b9b9fd26a0eead0c525c02add0cafaa69354650c82a07bb7"),
-])
+# the configs whose generated (and packed) bytes are pinned
+PINNED_CONFIGS = (
+    SyntheticConfig(seed=0),
+    SyntheticConfig(n_c=9, relevant_max=5, h_v=8, h_q=8, n_o=3, subs_max=4,
+                    open_leaf_prob=0.9, seed=1, clusters=50),
+)
+
+
+@pytest.mark.parametrize("cfg, digest", zip(PINNED_CONFIGS, [
+    "a20a8212e29073d282eeecb2bc30a2d0057f75693b70b3293b8b2333b0cf892d",
+    "f3dcee23de4cca95b9b9fd26a0eead0c525c02add0cafaa69354650c82a07bb7",
+]))
 def test_generated_datasets_are_byte_pinned(cfg, digest):
     # every report and checkpoint rests on these bytes: a reordered rng
     # draw or a changed float operation order moves the digest

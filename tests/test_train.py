@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 import time
@@ -29,6 +30,7 @@ from test_autodiff import (
     composite_linear,
     reference_backward,
 )
+from test_synth import PINNED_CONFIGS
 
 
 def tiny_config(**kw):
@@ -73,16 +75,48 @@ def test_pack_split_shapes_and_rows():
     assert train_pack.f_o.shape == (n, sc.n_c, sc.n_f, sc.n_o, sc.h_v)
     assert train_pack.f_q.shape == (n, sc.n_q, sc.h_q)
     assert train_pack.gold.shape == (n,)
-    rows = [r for _, m in train_pack.clusters for r in m.values()]
-    assert sorted(rows) == list(range(n))
-    for g, m in train_pack.clusters:
-        assert set(m) == {node.id for node in g.nodes}
     assert train_pack.planted.shape == (n, sc.n_c)
+    # each cluster's rows list its nodes in `g.nodes` order and carry on
+    # from where the previous cluster's ended, so the aggregator can read
+    # a cluster as one contiguous row range in neighbor_mask's order
+    start = 0
+    for g, m in train_pack.clusters:
+        assert list(m) == [node.id for node in g.nodes]
+        assert list(m.values()) == list(range(start, start + len(g.nodes)))
+        start += len(g.nodes)
+    assert start == n
     ds = generate_dataset(sc)
-    for inst, (_, m) in zip(ds.train, train_pack.clusters):
-        for nid, rel in inst.planted_relevance.items():
-            assert np.nonzero(train_pack.planted[m[nid]])[0].tolist() == \
-                list(rel)
+    for inst, (g, m) in zip(ds.train, train_pack.clusters):
+        assert inst.graph == g
+        rows = list(m.values())
+        assert inst.planted.tobytes() == train_pack.planted[rows].tobytes()
+
+
+def _pack_digest(cfg: SyntheticConfig) -> str:
+    """sha256 over every array, node id and rows map pack_split builds,
+    split by split."""
+    h = hashlib.sha256()
+    ds = generate_dataset(cfg)
+    for split in (ds.train, ds.validation, ds.test):
+        pack = pack_split(split, cfg.vocab_index)
+        h.update(b"|split|")
+        for arr in (pack.f_o, pack.f_a, pack.f_m, pack.f_q, pack.gold,
+                    pack.planted):
+            h.update(repr((arr.dtype.str, arr.shape)).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(json.dumps([pack.node_ids, [
+            [g.graph_id, list(m.items())] for g, m in pack.clusters
+        ]]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cfg, digest", zip(PINNED_CONFIGS, [
+    "35021db7ee582de699fef1e09947d9f04a7a0e4d233577fc991fc09d890aed21",
+    "84061713f834e0684e6d427250bb4a4d4295022af526ed89c4fed4e24104df30",
+]))
+def test_packed_splits_are_byte_pinned(cfg, digest):
+    # the model reads nothing of a dataset but these arrays and row maps
+    assert _pack_digest(cfg) == digest
 
 
 def test_init_params_respects_flags():
@@ -246,13 +280,12 @@ def per_cluster_logits(joint, clusters, store, layers):
             local[nid] = len(local)
     logits = {}
     for g, rows_map in clusters:
-        order = sorted(rows_map)
         feats = autodiff.stack([autodiff.getitem(joint, local[nid])
-                                for nid in order])
+                                for nid in rows_map])
         outputs, _ = tr.aggregator.gat_forward(
-            feats, tr.aggregator.neighbor_mask(g, order), store, layers)
+            feats, tr.aggregator.neighbor_mask(g), store, layers)
         head = tr.aggregator.predict_answers(outputs, store).data
-        logits.update(zip(order, head))
+        logits.update(zip(rows_map, head))
     return logits
 
 
@@ -469,8 +502,8 @@ def test_relevance_tally_matches_set_loop(monkeypatch):
     _, relevance = predict_split(store, cfg, val_pack)
     ind = np.concatenate(blocks)
     ds = generate_dataset(cfg.synthetic)
-    rels = [inst.planted_relevance[node.id]
-            for inst in ds.validation for node in inst.graph.nodes]
+    rels = [np.flatnonzero(row).tolist()
+            for inst in ds.validation for row in inst.planted]
     hit = planted = chosen = 0
     for i, rel in enumerate(rels):
         picked = set(np.nonzero(ind[i, :, 0] > 0.5)[0])
@@ -500,6 +533,29 @@ def test_repeated_cluster_in_batch_keeps_its_rows():
     assert twice["answer_ce"] == pytest.approx(once["answer_ce"], abs=1e-12)
     assert twice["aggregation"] == pytest.approx(once["aggregation"],
                                                  abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "train._cluster_logits numbers its rows by distinct node id, so a "
+    "repeated cluster adds no rows there and every later cluster of the "
+    "batch reads joint rows shifted back by the repeated cluster's size"))
+def test_repeated_cluster_in_batch_keeps_later_clusters_rows():
+    cfg = RunConfig(synthetic=SyntheticConfig(clusters=8, seed=0), seed=0,
+                    **dict(tr.ABLATION_ROWS)["aggregator"])
+    store = init_params(cfg)
+    train_pack, _, _ = packs_for(cfg)
+
+    def last_cluster_logits(batch):
+        clusters = [train_pack.clusters[i] for i in batch]
+        rows = np.concatenate([list(m.values()) for _, m in clusters])
+        _, maps, _ = tr._forward(train_pack, rows, clusters, store, cfg,
+                                 np.random.default_rng(0))
+        return np.stack([t.data for t in maps[-1].values()])
+
+    # cluster 1's first logit reads -0.009515 after [0], -0.013751 after
+    # [0, 0]
+    alone = last_cluster_logits([0, 1])
+    assert last_cluster_logits([0, 0, 1]).tobytes() == alone.tobytes()
 
 
 def test_predict_split_without_aligner_has_no_relevance():
