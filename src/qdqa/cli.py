@@ -50,14 +50,15 @@ def _write(path: str, text: str):
 
 
 def _load(loader, path: str):
-    """`loader` on the text of `path`; its line errors name the file."""
-    text = Path(path).read_text()
-    try:
-        return loader(text)
-    except ValueError as exc:  # json's own errors are ValueErrors too
-        if not isinstance(exc, QdgError):
-            exc.args = (f"{path}: {exc}",)
-        raise
+    """`loader` on the lines of `path`, read one at a time and split at
+    "\\n" only; its line errors name the file."""
+    with open(path, newline="\n") as lines:
+        try:
+            return loader(lines)
+        except ValueError as exc:  # json's own errors are ValueErrors too
+            if not isinstance(exc, QdgError):
+                exc.args = (f"{path}: {exc}",)
+            raise
 
 
 @main.command()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import urllib.request
 from dataclasses import dataclass, field
 
 from . import qdg
@@ -150,6 +149,10 @@ class HttpCompletionClient:
         self.api_key = api_key or os.environ.get("QDQA_LLM_API_KEY")
 
     def complete(self, prompt: str) -> str:
+        # here, not at module level: urllib.request pulls in ssl,
+        # http.client and email, several MB that only this call needs
+        import urllib.request
+
         payload = json.dumps(
             {"model": self.model, "prompt": prompt,
              "max_tokens": self.max_tokens}

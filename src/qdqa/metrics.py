@@ -222,13 +222,14 @@ def parse_report(text: str) -> MetricsReport:
     return report
 
 
-def load_predictions_jsonl(text: str) -> dict:
-    """Predictions JSONL: one {"id": ..., "answer": ...} object per line,
-    both strings, each id once; any other line raises ValueError naming its
-    number (both numbers for a repeated id)."""
+def load_predictions_jsonl(source) -> dict:
+    """Predictions JSONL, a str or lines as `qdg.iter_jsonl` takes them:
+    one {"id": ..., "answer": ...} object per line, both strings, each id
+    once; any other line raises ValueError naming its number (both numbers
+    for a repeated id)."""
     out = {}
     line_of = {}
-    for number, obj in iter_jsonl(text):
+    for number, obj in iter_jsonl(source):
         if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
                 and isinstance(obj.get("answer"), str)):
             raise ValueError(

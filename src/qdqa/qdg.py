@@ -235,15 +235,20 @@ def first_order_pairs(g: QDG) -> list[tuple[str, set[str]]]:
 _scan_once = json.JSONDecoder().scan_once
 
 
-def iter_jsonl(text: str):
-    """Yield (line number, decoded value) for each non-blank line.
+def iter_jsonl(source):
+    """Yield (line number, decoded value) for each non-blank line of
+    `source`: a str, or the lines of a file opened with newline="\\n",
+    which are read one at a time.
 
     Lines end at "\\n" only: U+0085, U+2028 and U+2029 may stand unescaped
-    inside JSON strings.  A line that does not hold exactly one JSON value
-    raises json's own error with "line N: " put before its message, and
-    one nested too deeply for the decoder's recursion raises ValueError.
+    inside JSON strings, and a "\\r" before the "\\n" is stripped with the
+    rest of the line's outer whitespace.  A line that does not hold exactly
+    one JSON value raises json's own error with "line N: " put before its
+    message, and one nested too deeply for the decoder's recursion raises
+    ValueError.
     """
-    for number, line in enumerate(text.split("\n"), 1):
+    lines = source.split("\n") if isinstance(source, str) else source
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if line:
             try:
@@ -262,6 +267,7 @@ def iter_jsonl(text: str):
             yield number, value
 
 
-def load_jsonl(text: str) -> list[QDG]:
-    """Parse a JSONL stream of graphs; blank lines ignored."""
-    return [from_dict(raw) for _, raw in iter_jsonl(text)]
+def load_jsonl(source) -> list[QDG]:
+    """Parse a JSONL stream of graphs, a str or lines as `iter_jsonl`
+    takes them; blank lines ignored."""
+    return [from_dict(raw) for _, raw in iter_jsonl(source)]

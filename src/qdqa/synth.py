@@ -280,10 +280,14 @@ def _build_graph(config: SyntheticConfig, index: int, rng):
     return doc, program, gold
 
 
+# an overflow or NaN from a huge config scale fails the finiteness checks
+# at the end, which numpy's warnings would only repeat
+@np.errstate(over="ignore", invalid="ignore")
 def generate_instance(config: SyntheticConfig, index: int,
                       bank: SignalBank | None = None) -> SyntheticInstance:
     """Deterministic for (config.seed, index); the module docstring gives
-    the draw order that fixes its bytes."""
+    the draw order that fixes its bytes.  Question tokens or video features
+    that are not finite raise ValueError."""
     bank = bank or SignalBank(config)
     rng = np.random.default_rng([config.seed, 1, index])
     doc, program, gold = _build_graph(config, index, rng)
@@ -340,14 +344,15 @@ def generate_instance(config: SyntheticConfig, index: int,
     distractor += distractor >= gold_rows[:, None]
     add = np.where(planted[..., None], signal[:, None],
                    answer_gain[..., None] * bank.answer_emb[distractor])
-    with np.errstate(over="ignore"):  # an overflow fails the check below
-        noise *= config.noise_scale
+    noise *= config.noise_scale
     parts = np.split(noise, np.cumsum(sizes)[:-1], axis=1)
     f_o, f_a, f_m = (part.reshape(n, *shape)
                      for part, shape in zip(parts, shapes))
     f_o += add[:, :, None, None]
     f_a += add[:, :, None]
     f_m += add
+    if not np.isfinite(q).all():
+        raise ValueError("non-finite question features")
     if not all(np.isfinite(f).all() for f in (f_o, f_a, f_m)):
         raise ValueError("non-finite video features")
     return SyntheticInstance(graph, f_o, f_a, f_m, q, planted, gold, program)

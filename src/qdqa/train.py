@@ -8,9 +8,11 @@ deterministic given the run seed.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
+import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -263,8 +265,12 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
         starts = range(0, len(rows), CLIP_BLOCK)
         workers = min(WORKERS, len(starts) // 2)
         if noise is not None and workers > 1:
+            # each block runs in a copy of this thread's context, so the
+            # caller's numpy error state holds on the pool threads too
             with ThreadPoolExecutor(workers) as pool:
-                clips, ind = zip(*pool.map(block, starts))
+                clips, ind = zip(*pool.map(
+                    lambda ctx, lo: ctx.run(block, lo),
+                    [contextvars.copy_context() for _ in starts], starts))
         else:
             clips, ind = zip(*map(block, starts))
         if len(clips) > 1:
@@ -456,6 +462,53 @@ def _first_non_finite(store: ParamStore):
     return None
 
 
+def _train_step(pack: PackedSplit, batch, store: ParamStore, opt: Adam,
+                config: RunConfig, rng, step: int) -> dict:
+    """One optimizer step on the clusters `batch`; returns the loss terms
+    and "total" as floats.  The step's tape is reachable only from this
+    call's locals, so it is freed on return, before the next step's
+    forward."""
+    terms, total = forward_losses(pack, batch, store, config, rng)
+    losses = {"total": float(total.data),
+              **{k: float(v.data) for k, v in terms.items()}}
+    if not math.isfinite(losses["total"]):
+        raise NonFiniteLossError(
+            f"non-finite loss at step {step}",
+            # JSON has no number for inf or nan: they go as "inf", "nan"
+            dump={"step": step,
+                  **{k: v if math.isfinite(v) else repr(v)
+                     for k, v in losses.items() if k != "total"},
+                  "param": _first_non_finite(store)},
+        )
+    store.zero_grad()
+    total.backward()
+    _clip_gradients(store, config.grad_clip)
+    opt.step()
+    return losses
+
+
+def _packed_splits(config: RunConfig):
+    """The config's dataset packed into (train, validation, test) splits,
+    and the seconds spent generating and packing it.  The raw instances
+    die on return: the packs hold copies of their arrays."""
+    started = time.monotonic()
+    ds = generate_dataset(config.synthetic)
+    generate_s = time.monotonic() - started
+    for name in ("train", "validation", "test"):
+        if not getattr(ds, name):
+            raise ConfigError(
+                f"the {name} split is empty: synthetic.clusters is "
+                f"{config.synthetic.clusters}, and must be at least "
+                f"{MIN_CLUSTERS}")
+    packing = time.monotonic()
+    packs = tuple(pack_split(split, config.synthetic.vocab_index)
+                  for split in (ds.train, ds.validation, ds.test))
+    return packs, generate_s, time.monotonic() - packing
+
+
+# a non-finite loss fails _train_step's check with the JSON error, which
+# numpy's overflow and invalid-value warnings would only repeat
+@np.errstate(all="ignore")
 def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
     """Optimize the gated joint loss; checkpoint the best validation c-F1.
 
@@ -463,24 +516,12 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
     writes report.json, epochs.csv, runtime.json, and checkpoint/.
     """
     started = time.monotonic()
-    ds = generate_dataset(config.synthetic)
-    generate_s = time.monotonic() - started
+    (train_pack, val_pack, test_pack), generate_s, pack_s = \
+        _packed_splits(config)
     rng = np.random.default_rng([config.seed, 77])
-    for name in ("train", "validation", "test"):
-        if not getattr(ds, name):
-            raise ConfigError(
-                f"the {name} split is empty: synthetic.clusters is "
-                f"{config.synthetic.clusters}, and must be at least "
-                f"{MIN_CLUSTERS}")
     if out_dir is not None:  # an unwritable path fails before step 1
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    vocab_index = config.synthetic.vocab_index
-    packing = time.monotonic()
-    train_pack = pack_split(ds.train, vocab_index)
-    val_pack = pack_split(ds.validation, vocab_index)
-    test_pack = pack_split(ds.test, vocab_index)
-    pack_s = time.monotonic() - packing
 
     store = init_params(config)
     opt = Adam(store, lr=config.lr)
@@ -503,22 +544,10 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
         # linear warmdown: locks the solution in late in training instead
         # of letting a rare large step wreck a converged model
         opt.lr = config.lr * (1.0 - (step - 1) / max(config.steps, 1))
-        terms, total = forward_losses(train_pack, batch, store, config, rng)
-        if not np.isfinite(total.data):
-            raise NonFiniteLossError(
-                f"non-finite loss at step {step}",
-                dump={"step": step,
-                      **{k: float(v.data) for k, v in terms.items()},
-                      "param": _first_non_finite(store)},
-            )
-        store.zero_grad()
-        total.backward()
-        _clip_gradients(store, config.grad_clip)
-        opt.step()
-
-        sums["total"] = sums.get("total", 0.0) + float(total.data)
-        for name, t in terms.items():
-            sums[name] = sums.get(name, 0.0) + float(t.data)
+        losses = _train_step(train_pack, batch, store, opt, config, rng,
+                             step)
+        for name, value in losses.items():
+            sums[name] = sums.get(name, 0.0) + value
         n_batches += 1
 
         if step % config.eval_every == 0 or step == config.steps:
@@ -554,7 +583,10 @@ def train(config: RunConfig, out_dir=None) -> tuple[RunReport, ParamStore]:
         (out / "epochs.csv").write_text(report.epochs_csv())
         (out / "runtime.json").write_text(
             json.dumps({"wall_clock": report.wall_clock,
-                        "generate_s": generate_s, "pack_s": pack_s}) + "\n"
+                        "generate_s": generate_s, "pack_s": pack_s,
+                        # ru_maxrss is in KiB on Linux
+                        "peak_rss_mb": resource.getrusage(
+                            resource.RUSAGE_SELF).ru_maxrss / 1024}) + "\n"
         )
         store.save(out / "checkpoint")
         (out / "run_config.json").write_text(config.to_json())

@@ -347,6 +347,29 @@ def test_unescaped_line_separators_inside_strings_parse(tmp_path):
     assert raw == escaped
 
 
+def test_crlf_files_validate_and_score_as_lf(tmp_path):
+    """A "\\r" before each "\\n" is stripped with the line's whitespace."""
+    outputs = []
+    for name, end in (("lf", "\n"), ("crlf", "\r\n")):
+        folder = tmp_path / name
+        folder.mkdir()
+        files = write_row1_fixture(folder)
+        for path in files:
+            path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        gpath, gold, pred = files
+        assert (b"\r\n" in gpath.read_bytes()) == (end == "\r\n")
+        validated = RUNNER.invoke(main, ["validate", str(gpath)])
+        assert validated.exit_code == 0, validated.output
+        out = folder / "report.json"
+        result = RUNNER.invoke(main, [
+            "eval", "--graphs", str(gpath), "--gold", str(gold),
+            "--pred", str(pred), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        outputs.append((validated.stdout, out.read_text()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("which", ["graphs", "gold", "pred"])
 @pytest.mark.parametrize("line", [
     "nope",
@@ -494,12 +517,15 @@ def test_train_command_bad_config_exits_1(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_train_command_non_finite_features_exit_1_with_json_only(tmp_path):
-    # the noise overflows to inf; numpy's overflow warning must not reach
-    # stderr ahead of the JSON error
+@pytest.mark.parametrize("key", ["noise_scale", "op_signal_scale"])
+def test_train_command_non_finite_features_exit_1_with_json_only(tmp_path,
+                                                                 key):
+    # the noise overflows to inf, or the cued question tokens' mean and the
+    # clip signal with it; numpy's overflow and invalid-value warnings must
+    # not reach stderr ahead of the JSON error
     cfg = tmp_path / "huge.json"
-    cfg.write_text(json.dumps({"synthetic": {"noise_scale": 1e308,
-                                             "clusters": 8}, "steps": 1}))
+    cfg.write_text(json.dumps({"synthetic": {key: 1e308, "clusters": 8},
+                               "steps": 1}))
     result = RUNNER.invoke(main, [
         "train", "--config", str(cfg), "--out", str(tmp_path / "o"),
     ])
@@ -507,6 +533,30 @@ def test_train_command_non_finite_features_exit_1_with_json_only(tmp_path):
     error = json.loads(result.stderr)
     assert (error["error"], error["message"]) == (
         "ValueError", "non-finite video features")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key", ["answer_scale", "relevance_scale",
+                                 "question_scale"])
+def test_train_command_non_finite_loss_dump_is_strict_json(tmp_path, key):
+    # finite features whose loss overflows: the dump writes a non-finite
+    # term as a string, and no numpy warning precedes the JSON
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"synthetic": {key: 1e308, "clusters": 8},
+                               "steps": 1}))
+    result = RUNNER.invoke(main, [
+        "train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 1
+    error = strict_json(result.stderr)
+    assert error["error"] == "NonFiniteLossError"
+    dump = error["dump"]
+    assert dump["step"] == 1
+    terms = {k: v for k, v in dump.items() if k not in ("step", "param")}
+    assert set(terms) == {"answer_ce", "contrastive", "aggregation"}
+    assert any(v in ("inf", "nan") for v in terms.values())
+    for value in terms.values():
+        assert value in ("inf", "-inf", "nan") or np.isfinite(value)
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

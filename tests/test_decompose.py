@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +203,40 @@ def test_stub_client_fixture_round_trip(tmp_path):
 def test_demo_bank_graphs_validate():
     for _, graph in BANK.flat():
         assert qdg.parse_and_validate(qdg.serialize(graph)) == graph
+
+
+# run in a fresh interpreter, since this one may have loaded urllib.request
+LAZY_HTTP_SCRIPT = """
+import sys
+from pathlib import Path
+from qdqa.cli import main
+from qdqa.decompose import HttpCompletionClient
+
+tmp = Path(sys.argv[1])
+assert "urllib.request" not in sys.modules, "import qdqa.cli"
+main(["decompose", "--questions", str(tmp / "q.txt"), "--k", "3",
+      "--stub", str(tmp / "stub.json"), "--out", str(tmp / "out.jsonl")],
+     standalone_mode=False)
+assert "urllib.request" not in sys.modules, "decompose --stub"
+client = HttpCompletionClient(endpoint=(tmp / "reply.json").as_uri())
+assert client.complete("any prompt") == "from the endpoint"
+assert "urllib.request" in sys.modules
+"""
+
+
+def test_http_stack_loads_only_when_the_endpoint_is_called(tmp_path):
+    (tmp_path / "q.txt").write_text("Does A happen and B happen?\n")
+    (tmp_path / "stub.json").write_text(json.dumps(
+        {"responses": ["1, 2, 3", good_graph_json("lazy01")]}))
+    # a file: URL serves the reply without a socket
+    (tmp_path / "reply.json").write_text(
+        json.dumps({"text": "from the endpoint"}))
+    src = str(Path(decompose.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", LAZY_HTTP_SCRIPT,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    graphs = qdg.load_jsonl((tmp_path / "out.jsonl").read_text())
+    assert [g.graph_id for g in graphs] == ["lazy01"]

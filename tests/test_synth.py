@@ -30,6 +30,17 @@ def test_open_leaf_prob_must_be_a_probability(prob):
     SyntheticConfig(open_leaf_prob=1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key, value, what", [
+    ("noise_scale", 1e308, "video"),
+    ("op_signal_scale", 1e308, "video"),  # q_bar overflows, q does not
+    ("op_signal_scale", 1.79e308, "question"),  # the cued tokens overflow
+])
+def test_non_finite_features_raise_without_numpy_warnings(key, value, what):
+    with pytest.raises(ValueError, match=f"non-finite {what} features"):
+        synth.generate_instance(SyntheticConfig(**{key: value}), 0)
+
+
 @pytest.mark.parametrize("role_gain, named", [
     ({}, "role_gain.main is missing"),
     ({"leaf": 1.0, "intermediate": 0.5}, "role_gain.main is missing"),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import threading
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -392,16 +393,17 @@ def test_fused_aggregator_nodes_keep_gradients_bitwise(monkeypatch, row,
     assert run() == fused
 
 
-def tape_nodes(loss) -> int:
+def tape(loss) -> list:
     """Tensors reachable from `loss` through parent links, leaves and the
     loss itself included."""
-    seen, todo = {id(loss)}, [loss]
+    seen, todo, out = {id(loss)}, [loss], [loss]
     while todo:
         for p in todo.pop()._parents:
             if id(p) not in seen:
                 seen.add(id(p))
                 todo.append(p)
-    return len(seen)
+                out.append(p)
+    return out
 
 
 @pytest.mark.parametrize("row, budget", [("aggregator_triplet", 240),
@@ -416,7 +418,37 @@ def test_default_training_step_stays_within_its_tape_budget(row, budget):
     batch = rng.permutation(len(train_pack.clusters))[:cfg.batch_clusters]
     _, total = forward_losses(train_pack, batch.tolist(), init_params(cfg),
                               cfg, rng)
-    assert tape_nodes(total) <= budget
+    assert len(tape(total)) <= budget
+
+
+@pytest.mark.parametrize("row", ["full", "aggregator_triplet"])
+def test_a_step_holds_neither_the_last_tape_nor_the_raw_dataset(monkeypatch,
+                                                                 row):
+    """At the start of each step's forward no array of the previous step's
+    tape is alive, and no array of the generated instances either: the
+    packs hold copies of them."""
+    generate, forward = tr.generate_dataset, tr.forward_losses
+    held, seen = [], []
+
+    def generate_spy(config):
+        ds = generate(config)
+        held.extend(weakref.ref(getattr(inst, name))
+                    for inst in ds.train + ds.validation + ds.test
+                    for name in ("f_o", "f_a", "f_m", "q", "planted"))
+        return ds
+
+    def forward_spy(*args, **kwargs):
+        seen.append(sum(ref() is not None for ref in held))
+        terms, total = forward(*args, **kwargs)
+        held.extend(weakref.ref(t.data) for t in tape(total)
+                    if t._parents)
+        return terms, total
+
+    monkeypatch.setattr(tr, "generate_dataset", generate_spy)
+    monkeypatch.setattr(tr, "forward_losses", forward_spy)
+    train(tiny_config(steps=4, eval_every=2, **dict(tr.ABLATION_ROWS)[row]))
+    assert len(held) > 100
+    assert seen == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("row", ["full", "aligner"])
@@ -701,7 +733,9 @@ def test_report_json_excludes_wall_clock():
 def test_runtime_json_times_the_setup_phases(tmp_path):
     train(tiny_config(steps=3, eval_every=3), out_dir=tmp_path)
     runtime = json.loads((tmp_path / "runtime.json").read_text())
-    assert set(runtime) == {"wall_clock", "generate_s", "pack_s"}
+    assert set(runtime) == {"wall_clock", "generate_s", "pack_s",
+                            "peak_rss_mb"}
     for key in ("generate_s", "pack_s"):
         assert 0.0 <= runtime[key] <= runtime["wall_clock"]
+    assert runtime["peak_rss_mb"] > 0
     assert "generate_s" not in (tmp_path / "report.json").read_text()
