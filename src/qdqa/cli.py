@@ -51,10 +51,14 @@ def _write(path: str, text: str):
 
 def _load(loader, path: str):
     """`loader` on the lines of `path`, read one at a time and split at
-    "\\n" only; its line errors name the file."""
+    "\\n" only; its line errors and an undecodable byte name the file."""
     with open(path, newline="\n") as lines:
         try:
             return loader(lines)
+        except UnicodeDecodeError as exc:
+            # its str() is built from these fields and ignores args
+            exc.reason = f"{exc.reason}, in {path}"
+            raise
         except ValueError as exc:  # json's own errors are ValueErrors too
             if not isinstance(exc, QdgError):
                 exc.args = (f"{path}: {exc}",)

@@ -8,6 +8,7 @@ with whether *all* direct children were answered correctly.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 
 from .qdg import QDG, first_order_pairs, iter_jsonl
@@ -226,9 +227,10 @@ def load_predictions_jsonl(source) -> dict:
     """Predictions JSONL, a str or lines as `qdg.iter_jsonl` takes them:
     one {"id": ..., "answer": ...} object per line, both strings, each id
     once; any other line raises ValueError naming its number (both numbers
-    for a repeated id)."""
+    for a repeated id).  Equal answers share one string object."""
     out = {}
-    line_of = {}
+    answers = {}
+    line_of = array("q")  # the line of each id of `out`, in its order
     for number, obj in iter_jsonl(source):
         if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
                 and isinstance(obj.get("answer"), str)):
@@ -236,10 +238,10 @@ def load_predictions_jsonl(source) -> dict:
                 f"line {number}: expected an object with string "
                 f"\"id\" and \"answer\""
             )
-        first = line_of.setdefault(obj["id"], number)
-        if first != number:
-            raise ValueError(
-                f"line {number}: id {obj['id']!r} repeats line {first}"
-            )
-        out[obj["id"]] = obj["answer"]
+        nid, answer = obj["id"], obj["answer"]
+        if nid in out:
+            first = line_of[list(out).index(nid)]
+            raise ValueError(f"line {number}: id {nid!r} repeats line {first}")
+        out[nid] = answers.setdefault(answer, answer)
+        line_of.append(number)
     return out

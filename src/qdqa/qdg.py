@@ -8,7 +8,9 @@ into.  Edges carry an operator label drawn from the graph's declared registry.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -66,11 +68,25 @@ class QDG:
 
 _node_id = attrgetter("id")
 _edge_ends = attrgetter("parent", "child")
+# a parsed kind or role is replaced by its constant, so every node of every
+# graph shares one string object per value
+_KINDS = {k: k for k in VALID_KINDS}
+_ROLES = {r: r for r in VALID_ROLES}
+# tuple.__new__ fills the tuple in C; calling the class runs a Python __new__
+_new_node = partial(tuple.__new__, QuestionNode)
+_new_edge = partial(tuple.__new__, QdgEdge)
 
 
 def _build(graph_id, video_id, nodes, edges, edge_types) -> QDG:
-    """Validate and assemble a graph from parsed parts."""
-    # kind and role are checked against their few allowed strings below
+    """Validate and assemble a graph from parsed parts: `nodes` are
+    (id, text, kind, role, answer) and `edges` (parent, child, op) tuples.
+
+    Each node and edge is built once, after it passes its checks.  A
+    node's kind and role are the module's constants, an edge's ends are
+    its nodes' own id objects, and ops and edge types are interned, so a
+    parsed graph holds one string object per distinct id and label.
+    """
+    by_id = {}
     for nid, text, kind, role, answer in nodes:
         if not (isinstance(nid, str) and isinstance(text, str)):
             raise QdgError(
@@ -96,11 +112,12 @@ def _build(graph_id, video_id, nodes, edges, edge_types) -> QDG:
                     f"binary node {nid} has non yes/no answer {answer!r}",
                     graph_id,
                 )
-    by_id = {n.id: n for n in nodes}
+        by_id[nid] = _new_node((nid, text, _KINDS[kind], _ROLES[role],
+                                answer))
     if len(by_id) != len(nodes):
         raise QdgError("duplicate node ids", graph_id)
-    registry = set(edge_types)
-    seen_edges = set()
+    registry = {t: t for t in map(sys.intern, edge_types)}
+    built = []
     indeg = dict.fromkeys(by_id, 0)
     adj = {}
     for parent, child, op in edges:
@@ -113,20 +130,24 @@ def _build(graph_id, video_id, nodes, edges, edge_types) -> QDG:
             )
         if parent == child:
             raise QdgError(f"self-loop on {parent}", graph_id)
-        if parent not in by_id or child not in by_id:
+        parent_node, child_node = by_id.get(parent), by_id.get(child)
+        if parent_node is None or child_node is None:
             raise DanglingEdgeError(
                 f"edge {parent}->{child} references unknown node", graph_id
             )
-        if op not in registry:
+        op_name = registry.get(op)
+        if op_name is None:
             raise UnknownOpError(
                 f"edge {parent}->{child} op {op!r} not in registry",
                 graph_id,
             )
-        if (parent, child) in seen_edges:
+        parent, child = parent_node.id, child_node.id
+        kids = adj.setdefault(parent, set())
+        if child in kids:
             raise QdgError(f"duplicate edge {parent}->{child}", graph_id)
-        seen_edges.add((parent, child))
+        kids.add(child)
+        built.append(_new_edge((parent, child, op_name)))
         indeg[child] += 1
-        adj.setdefault(parent, []).append(child)
 
     roots = [i for i, d in indeg.items() if d == 0]
     if len(roots) != 1:
@@ -155,8 +176,8 @@ def _build(graph_id, video_id, nodes, edges, edge_types) -> QDG:
     return QDG(
         graph_id=graph_id,
         video_id=video_id,
-        nodes=tuple(sorted(nodes, key=_node_id)),
-        edges=tuple(sorted(edges, key=_edge_ends)),
+        nodes=tuple(sorted(by_id.values(), key=_node_id)),
+        edges=tuple(sorted(built, key=_edge_ends)),
         edge_types=tuple(sorted(registry)),
     )
 
@@ -177,13 +198,9 @@ def from_dict(raw: dict) -> QDG:
                            f"{type(value).__name__}",
                            graph_id if isinstance(graph_id, str) else None)
     try:
-        nodes = [
-            QuestionNode(n["id"], n["text"], n["kind"], n["role"],
-                         n.get("answer"))
-            for n in raw["nodes"]
-        ]
-        edges = [QdgEdge(e["parent"], e["child"], e["op"])
-                 for e in raw["edges"]]
+        nodes = [(n["id"], n["text"], n["kind"], n["role"], n.get("answer"))
+                 for n in raw["nodes"]]
+        edges = [(e["parent"], e["child"], e["op"]) for e in raw["edges"]]
     except (KeyError, TypeError) as exc:
         raise QdgError(f"malformed document: {exc}", graph_id) from exc
     edge_types = raw.get("edge_types", [])

@@ -413,7 +413,10 @@ def test_non_utf8_file_exits_1_with_json_error(tmp_path, which):
     for command in commands:
         result = RUNNER.invoke(main, command)
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"] == "UnicodeDecodeError"
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "UnicodeDecodeError"
+        assert payload["message"].endswith(
+            f"invalid start byte, in {files[which]}")
 
 
 @pytest.mark.parametrize("which", ["graphs", "gold", "pred"])

@@ -282,3 +282,29 @@ def test_emit_report_empty_tally_json():
 def test_predictions_jsonl_loader():
     text = '{"id": "a", "answer": "Yes"}\n\n{"id": "b", "answer": "no"}\n'
     assert metrics.load_predictions_jsonl(text) == {"a": "Yes", "b": "no"}
+
+
+def test_predictions_jsonl_equal_answers_share_one_object():
+    text = "".join(json.dumps({"id": f"q{i}", "answer": a}) + "\n"
+                   for i, a in enumerate(["yes", "green", "yes", "green",
+                                          "Green", "yes"]))
+    answers = metrics.load_predictions_jsonl(text)
+    first = {}
+    for a in answers.values():
+        assert a is first.setdefault(a, a)
+    assert len(first) == 3
+
+
+@pytest.mark.parametrize("lines, message", [
+    (['{"id": "qa", "answer": "yes"}', '', '{"id": "qa", "answer": "no"}'],
+     "line 3: id 'qa' repeats line 1"),
+    (['{"id": "qa", "answer": "yes"}', '{"id": "qb", "answer": "no"}',
+      '', '{"id": "qc", "answer": "no"}', '{"id": "qb", "answer": "no"}'],
+     "line 5: id 'qb' repeats line 2"),
+    (['{"id": "qa", "answer": "yes"}', '["qb", "no"]'],
+     "line 2: expected an object with string \"id\" and \"answer\""),
+], ids=["first_id", "later_id_after_blank", "not_an_object"])
+def test_predictions_jsonl_line_error_messages(lines, message):
+    with pytest.raises(ValueError) as info:
+        metrics.load_predictions_jsonl("\n".join(lines) + "\n")
+    assert str(info.value) == message

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdqa import qdg
+from qdqa import cli, qdg
 
 
 def make_doc(nodes, edges, edge_types=("Conjunction",)):
@@ -210,32 +210,92 @@ def edge(parent, child, op="Conjunction"):
     return {"parent": parent, "child": child, "op": op}
 
 
-@pytest.mark.parametrize("nodes, edges, message", [
+@pytest.mark.parametrize("nodes, edges, error, message", [
     ([node("m", role="main"), node("s"), node("s", text="again?")],
-     [edge("m", "s")], "duplicate node ids"),
-    ([node("m", role="main"), node("")], [edge("m", "")], "empty node id"),
+     [edge("m", "s")], qdg.QdgError, "duplicate node ids"),
+    ([node("m", role="main"), node("")], [edge("m", "")], qdg.QdgError,
+     "empty node id"),
     ([node("m", role="main"), node("s", kind="ternary")], [edge("m", "s")],
-     "bad kind 'ternary' on node s"),
+     qdg.QdgError, "bad kind 'ternary' on node s"),
     ([node("m", role="main"), node("s", role="root")], [edge("m", "s")],
-     "bad role 'root' on node s"),
+     qdg.QdgError, "bad role 'root' on node s"),
     ([node("m", role="main"), node("s")], [edge("m", "s"), edge("s", "s")],
-     "self-loop on s"),
+     qdg.QdgError, "self-loop on s"),
     ([node("m", role="main"), node("s")], [edge("m", "s"), edge("m", "s")],
-     "duplicate edge m->s"),
-    ([node("m"), node("s")], [edge("m", "s")], "root m must have role=main"),
+     qdg.QdgError, "duplicate edge m->s"),
+    ([node("m"), node("s")], [edge("m", "s")], qdg.QdgError,
+     "root m must have role=main"),
     ([node("m", role="main"), {"id": "s", "kind": "open", "role": "leaf"}],
-     [edge("m", "s")], "malformed document: 'text'"),
+     [edge("m", "s")], qdg.QdgError, "malformed document: 'text'"),
     ([node("m", role="main"), node("s")], [{"parent": "m", "child": "s"}],
-     "malformed document: 'op'"),
+     qdg.QdgError, "malformed document: 'op'"),
+    ([node("m", role="main"), {**node("s"), "id": 7}], [edge("m", "s")],
+     qdg.QdgError, "node id 7 and text 'question s?' must be strings"),
+    ([node("m", role="main"), node("s", answer=["no"])], [edge("m", "s")],
+     qdg.QdgError, "answer ['no'] on node s is neither a string nor null"),
+    ([node("m", role="main"), node("s", answer="maybe")], [edge("m", "s")],
+     qdg.QdgError, "binary node s has non yes/no answer 'maybe'"),
+    ([node("m", role="main"), node("s")], [edge("m", ["s"])], qdg.QdgError,
+     "edge parent 'm', child ['s'] and op 'Conjunction' must be strings"),
+    ([node("m", role="main"), node("s")], [edge("m", "s"), edge("m", "x")],
+     qdg.DanglingEdgeError, "edge m->x references unknown node"),
+    ([node("m", role="main"), node("s")], [edge("m", "s", op="Teleport")],
+     qdg.UnknownOpError, "edge m->s op 'Teleport' not in registry"),
+    ([node("m", role="main"), node("s"), node("t")], [edge("m", "s")],
+     qdg.RootError, "expected exactly one root, found ['m', 't']"),
+    ([node("m", role="main"), node("s"), node("t")],
+     [edge("m", "s"), edge("s", "t"), edge("t", "s")], qdg.CycleError,
+     "edge set contains a directed cycle"),
 ], ids=["duplicate_id", "empty_id", "bad_kind", "bad_role", "self_loop",
         "duplicate_edge", "root_not_main", "node_missing_key",
-        "edge_missing_key"])
-def test_from_dict_rejection_type_and_message(nodes, edges, message):
+        "edge_missing_key", "non_string_id", "non_string_answer",
+        "binary_not_yes_no", "non_string_edge_end", "dangling_edge",
+        "unknown_op", "two_roots", "cycle"])
+def test_from_dict_rejection_type_and_message(nodes, edges, error, message):
     with pytest.raises(qdg.QdgError) as info:
         qdg.from_dict(json.loads(make_doc(nodes, edges)))
-    assert type(info.value) is qdg.QdgError
+    assert type(info.value) is error
     assert str(info.value) == message
     assert info.value.graph_id == "g0"
+
+
+def assert_shares_strings(g):
+    """Edge ends are their nodes' own id objects; kinds, roles, ops and
+    edge types are one object per value."""
+    ids = {n.id: n.id for n in g.nodes}
+    ops = {t: t for t in g.edge_types}
+    for n in g.nodes:
+        assert n.kind is qdg.VALID_KINDS[qdg.VALID_KINDS.index(n.kind)]
+        assert n.role is qdg.VALID_ROLES[qdg.VALID_ROLES.index(n.role)]
+    for e in g.edges:
+        assert e.parent is ids[e.parent] and e.child is ids[e.child]
+        assert e.op is ops[e.op]
+
+
+def test_parsed_graphs_share_one_string_per_id_and_label():
+    # multi-character strings: CPython caches one-character ones anyway
+    graphs = [
+        qdg.parse_and_validate(make_doc(
+            [node(f"{p}main", role="main"),
+             node(f"{p}mid", role="intermediate", kind="open", answer="red"),
+             node(f"{p}leaf1"), node(f"{p}leaf2", kind="open", answer=None)],
+            [edge(f"{p}main", f"{p}mid"), edge(f"{p}main", f"{p}leaf1"),
+             edge(f"{p}mid", f"{p}leaf2", op="Choose"),
+             edge(f"{p}mid", f"{p}leaf1")],
+            edge_types=("Conjunction", "Choose")))
+        for p in ("first", "second")
+    ]
+    for g in graphs:
+        assert_shares_strings(g)
+    for one, two in zip(*(g.nodes for g in graphs)):
+        assert one.kind is two.kind and one.role is two.role
+    assert all(a is b for a, b in zip(*(g.edge_types for g in graphs)))
+
+    gold = {n.id: "yes" for n in graphs[0].nodes if n.kind == "binary"}
+    again = cli._apply_gold(graphs[0], gold)
+    assert_shares_strings(again)
+    assert all(a.id is b.id and a.kind is b.kind and a.role is b.role
+               for a, b in zip(again.nodes, graphs[0].nodes))
 
 
 def has_cycle(n, edges):
