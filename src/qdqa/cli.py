@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
 
 from . import decompose as dc, metrics, qdg
 from .qdg import QdgError
-from .synth import ConfigError
 
 
 def _set_workers(tr) -> None:
@@ -49,6 +49,23 @@ def _write(path: str, text: str):
         _fail(exc)
 
 
+def _undecodable(path: str, encoding: str):
+    """The error for the first byte of `path` that `encoding` cannot
+    decode, on the bytes of its line, with the line number and the byte's
+    file offset in its reason; None if every line decodes."""
+    offset = 0
+    with open(path, "rb") as lines:
+        for number, line in enumerate(lines, 1):
+            try:
+                line.decode(encoding)
+            except UnicodeDecodeError as exc:
+                exc.reason = (f"{exc.reason} on line {number} (byte "
+                              f"{offset + exc.start} of the file)")
+                return exc
+            offset += len(line)
+    return None
+
+
 def _load(loader, path: str):
     """`loader` on the lines of `path`, read one at a time and split at
     "\\n" only; its line errors and an undecodable byte name the file."""
@@ -56,9 +73,12 @@ def _load(loader, path: str):
         try:
             return loader(lines)
         except UnicodeDecodeError as exc:
+            # the reader's position counts from the start of its current
+            # chunk, so the error is found again in the file's bytes
+            exc = _undecodable(path, exc.encoding) or exc
             # its str() is built from these fields and ignores args
             exc.reason = f"{exc.reason}, in {path}"
-            raise
+            raise exc from None
         except ValueError as exc:  # json's own errors are ValueErrors too
             if not isinstance(exc, QdgError):
                 exc.args = (f"{path}: {exc}",)
@@ -88,25 +108,28 @@ def _apply_gold(graph, gold_map):
 
 def _check_ids_unique(graph_list) -> dict:
     """Metrics key answers by node id, so two graphs sharing an id would
-    share one prediction and one gold answer.  Returns node id -> index of
-    its graph in graph_list."""
-    owner = {}
-    for i, g in enumerate(graph_list):
-        for node in g.nodes:
-            first = owner.setdefault(node.id, i)
-            if first != i:
-                raise QdgError(
-                    f"node id {node.id!r} appears in graphs "
-                    f"{graph_list[first].graph_id!r} and {g.graph_id!r}",
-                    g.graph_id,
-                )
-    return owner
+    share one prediction and one gold answer.  Returns {id: id} over the
+    nodes of graph_list, each id the node's own string object, so that the
+    answer maps can key by it."""
+    ids = {node.id: node.id for g in graph_list for node in g.nodes}
+    if len(ids) < sum(len(g.nodes) for g in graph_list):
+        owner = {}  # node id -> its first graph; ids are unique per graph
+        for g in graph_list:
+            for node in g.nodes:
+                first = owner.setdefault(node.id, g)
+                if first is not g:
+                    raise QdgError(
+                        f"node id {node.id!r} appears in graphs "
+                        f"{first.graph_id!r} and {g.graph_id!r}",
+                        g.graph_id,
+                    )
+    return ids
 
 
-def _check_ids_known(owner: dict, answers: dict, path: str):
+def _check_ids_known(ids: dict, answers: dict, path: str):
     """An answer whose id names no node would be silently ignored."""
-    if not answers.keys() <= owner.keys():
-        unknown = next(nid for nid in answers if nid not in owner)
+    if not answers.keys() <= ids.keys():
+        unknown = next(nid for nid in answers if nid not in ids)
         raise ValueError(
             f"{path}: id {unknown!r} names no node of --graphs"
         )
@@ -125,11 +148,15 @@ def eval_cmd(graphs, gold, pred, beta, out):
     """Consistency metrics for predictions against gold answers."""
     try:
         graph_list = _load(qdg.load_jsonl, graphs)
-        owner = _check_ids_unique(graph_list)
-        gold_map = _load(metrics.load_predictions_jsonl, gold)
-        _check_ids_known(owner, gold_map, gold)
-        predictions = _load(metrics.load_predictions_jsonl, pred)
-        _check_ids_known(owner, predictions, pred)
+        ids = _check_ids_unique(graph_list)
+        # both maps key by the graphs' id objects, so the decoder's copy
+        # of an id is freed with its line
+        load_answers = partial(metrics.load_predictions_jsonl, ids=ids)
+        gold_map = _load(load_answers, gold)
+        _check_ids_known(ids, gold_map, gold)
+        predictions = _load(load_answers, pred)
+        _check_ids_known(ids, predictions, pred)
+        del ids, load_answers
         # in place, so each parsed graph is freed as its copy replaces it
         for i, g in enumerate(graph_list):
             graph_list[i] = _apply_gold(g, gold_map)
@@ -153,7 +180,7 @@ def train_cmd(config_path, out_dir):
     try:
         cfg = tr.RunConfig.from_json(Path(config_path).read_text())
         report, _ = tr.train(cfg, out_dir=out_dir)
-    except (ConfigError, tr.NonFiniteLossError, ValueError, OSError,
+    except (tr.NonFiniteLossError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         _fail(exc, dump=getattr(exc, "dump", None))
     click.echo(json.dumps({
@@ -177,7 +204,7 @@ def ablate_cmd(config_path, out):
             raise FileNotFoundError(
                 f"--out {out}: its directory does not exist")
         table = tr.ablate(cfg)
-    except (ConfigError, tr.NonFiniteLossError, ValueError, OSError,
+    except (tr.NonFiniteLossError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         _fail(exc)
     _write(out, tr.ablation_csv(table))

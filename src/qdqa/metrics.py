@@ -223,11 +223,13 @@ def parse_report(text: str) -> MetricsReport:
     return report
 
 
-def load_predictions_jsonl(source) -> dict:
+def load_predictions_jsonl(source, ids=None) -> dict:
     """Predictions JSONL, a str or lines as `qdg.iter_jsonl` takes them:
     one {"id": ..., "answer": ...} object per line, both strings, each id
     once; any other line raises ValueError naming its number (both numbers
-    for a repeated id).  Equal answers share one string object."""
+    for a repeated id).  Equal answers share one string object, and an id
+    that is a key of `ids` is stored as its value there."""
+    canonical = (ids or {}).get
     out = {}
     answers = {}
     line_of = array("q")  # the line of each id of `out`, in its order
@@ -238,7 +240,7 @@ def load_predictions_jsonl(source) -> dict:
                 f"line {number}: expected an object with string "
                 f"\"id\" and \"answer\""
             )
-        nid, answer = obj["id"], obj["answer"]
+        nid, answer = canonical(obj["id"], obj["id"]), obj["answer"]
         if nid in out:
             first = line_of[list(out).index(nid)]
             raise ValueError(f"line {number}: id {nid!r} repeats line {first}")

@@ -218,8 +218,9 @@ def _clip_gradients(store: ParamStore, max_norm: float) -> None:
 # of 256 raised the peak memory over a serial pass by 22%, blocks of 128 by 9%
 CLIP_BLOCK = 128
 # threads for the clip blocks of a pass that draws no Gumbel noise from
-# its rng, by default the CPUs this process may run on (`qdqa --threads`
-# sets it); a pass uses min(WORKERS, blocks // 2) and runs serially below 2
+# its rng, the calling thread among them, by default the CPUs this process
+# may run on (`qdqa --threads` sets it); a pass uses min(WORKERS,
+# blocks // 2) and runs serially below 2
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
@@ -233,10 +234,11 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     aggregator logits or None, the aligner's (f_q, clips, ind, w_rel) or
     None).
 
-    With `noise` given, the aligner's clip blocks run on a thread pool
-    (numpy drops the GIL in their loops) and are joined in block order, so
-    the bits do not depend on WORKERS.  Drawing from `rng` keeps them in
-    order on this thread, so the random stream is unchanged.
+    With `noise` given, the aligner's clip blocks run on this thread and a
+    pool of the other workers (numpy drops the GIL in their loops) and are
+    joined in block order, so the bits do not depend on WORKERS.  Drawing
+    from `rng` keeps them in order on this thread, so the random stream is
+    unchanged.
 
     The aggregator runs once per cluster, and its logits are one node id
     -> Tensor map per cluster, when a parameter of `store` requires grad.
@@ -265,12 +267,24 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
         starts = range(0, len(rows), CLIP_BLOCK)
         workers = min(WORKERS, len(starts) // 2)
         if noise is not None and workers > 1:
-            # each block runs in a copy of this thread's context, so the
-            # caller's numpy error state holds on the pool threads too
-            with ThreadPoolExecutor(workers) as pool:
-                clips, ind = zip(*pool.map(
-                    lambda ctx, lo: ctx.run(block, lo),
-                    [contextvars.copy_context() for _ in starts], starts))
+            done = [None] * len(starts)
+            taken = count()  # next() on it is atomic under the GIL
+
+            def drain():  # runs the next block not yet taken, until none is
+                while (k := next(taken)) < len(starts):
+                    done[k] = block(starts[k])
+
+            # this thread drains beside a pool of the other workers, which
+            # run in copies of its context, so its numpy error state holds
+            # there too; it takes blocks from the shared counter, not a fixed
+            # share, because waiting on a pool thread's block measured slower
+            with ThreadPoolExecutor(workers - 1) as pool:
+                helpers = [pool.submit(contextvars.copy_context().run, drain)
+                           for _ in range(workers - 1)]
+                drain()
+                for helper in helpers:
+                    helper.result()
+            clips, ind = zip(*done)
         else:
             clips, ind = zip(*map(block, starts))
         if len(clips) > 1:

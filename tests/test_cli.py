@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qdqa import qdg
+from qdqa import cli, qdg
 from qdqa.cli import main
 from qdqa.decompose import demo_bank
 from test_decompose import good_graph_json
@@ -284,15 +288,17 @@ def test_eval_unknown_answer_id_exits_1(tmp_path, which):
     assert result.exit_code == 1
     payload = json.loads(result.stderr)
     assert payload["error"] == "ValueError"
-    assert "'nowhere'" in payload["message"]
-    assert f"{which}.jsonl" in payload["message"]
+    assert payload["message"] == (
+        f"{files[which]}: id 'nowhere' names no node of --graphs")
     assert not (tmp_path / "r.json").exists()
 
 
 def test_eval_node_id_in_two_graphs_exits_1(tmp_path):
     gpath, gold, pred = write_row1_fixture(tmp_path)
     first = json.loads(gpath.read_text().split("\n", 1)[0])
+    owner = first["graph_id"]
     first["graph_id"] = "copy"
+    repeated = qdg.from_dict(first).nodes[0].id
     gpath.write_text(gpath.read_text() + json.dumps(first) + "\n")
     result = RUNNER.invoke(main, [
         "eval", "--graphs", str(gpath), "--gold", str(gold),
@@ -301,7 +307,42 @@ def test_eval_node_id_in_two_graphs_exits_1(tmp_path):
     assert result.exit_code == 1
     payload = json.loads(result.stderr)
     assert payload["error"] == "QdgError"
-    assert "'copy'" in payload["message"]
+    assert payload["message"] == (
+        f"node id {repeated!r} appears in graphs {owner!r} and 'copy'")
+
+
+def test_eval_answer_maps_key_by_the_graphs_id_objects(tmp_path,
+                                                       monkeypatch):
+    """One string object per node id: the gold and prediction maps hold
+    the parsed graphs' own ids, not the decoder's copies."""
+    gpath, gold, pred = write_row1_fixture(tmp_path)
+    seen = {}
+    apply_gold, full_report = cli._apply_gold, cli.metrics.full_report
+
+    def recording_apply_gold(graph, gold_map):
+        seen.setdefault("node_ids", {}).update(
+            (n.id, n.id) for n in graph.nodes)
+        seen["gold"] = gold_map
+        return apply_gold(graph, gold_map)
+
+    def recording_full_report(graphs, predictions, beta):
+        seen["predictions"] = predictions
+        seen["gold_node_ids"] = [n.id for g in graphs for n in g.nodes]
+        return full_report(graphs, predictions, beta)
+
+    monkeypatch.setattr(cli, "_apply_gold", recording_apply_gold)
+    monkeypatch.setattr(cli.metrics, "full_report", recording_full_report)
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(gpath), "--gold", str(gold),
+        "--pred", str(pred), "--out", str(tmp_path / "r.json"),
+    ])
+    assert result.exit_code == 0, result.output
+    node_ids = seen["node_ids"]
+    for answers in (seen["gold"], seen["predictions"]):
+        assert answers.keys() == node_ids.keys()
+        assert all(nid is node_ids[nid] for nid in answers)
+    # the gold-applied graphs keep the same id objects
+    assert all(nid is node_ids[nid] for nid in seen["gold_node_ids"])
 
 
 SEPARATORS = "\x85\u2028\u2029"  # str.splitlines() breaks on these
@@ -404,7 +445,9 @@ def test_eval_bad_json_line_exits_1_with_json_error(tmp_path, which, line):
 @pytest.mark.parametrize("which", ["graphs", "gold", "pred"])
 def test_non_utf8_file_exits_1_with_json_error(tmp_path, which):
     files = dict(zip(("graphs", "gold", "pred"), write_row1_fixture(tmp_path)))
-    files[which].write_bytes(files[which].read_bytes() + b"\xff\n")
+    text = files[which].read_bytes()
+    files[which].write_bytes(text + b"\xff\n")
+    line = text.count(b"\n") + 1
     commands = [["eval", "--graphs", str(files["graphs"]), "--gold",
                  str(files["gold"]), "--pred", str(files["pred"]),
                  "--out", str(tmp_path / "r.json")]]
@@ -415,8 +458,31 @@ def test_non_utf8_file_exits_1_with_json_error(tmp_path, which):
         assert result.exit_code == 1
         payload = json.loads(result.stderr)
         assert payload["error"] == "UnicodeDecodeError"
-        assert payload["message"].endswith(
-            f"invalid start byte, in {files[which]}")
+        assert payload["message"] == (
+            f"'utf-8' codec can't decode byte 0xff in position 0: invalid "
+            f"start byte on line {line} (byte {len(text)} "
+            f"of the file), in {files[which]}")
+
+
+@pytest.mark.parametrize("which", ["graphs", "gold", "pred"])
+def test_non_utf8_byte_past_the_first_read_chunk_names_its_line(tmp_path,
+                                                                which):
+    """The text reader decodes in chunks and counts its position from the
+    start of the current one; the message counts from the file's start."""
+    files = dict(zip(("graphs", "gold", "pred"), write_row1_fixture(tmp_path)))
+    text = files[which].read_bytes() + b"\n" * 70_000
+    files[which].write_bytes(text + b'{"id": "\xe2\x82"}\n')
+    line = text.count(b"\n") + 1
+    result = RUNNER.invoke(main, [
+        "eval", "--graphs", str(files["graphs"]), "--gold",
+        str(files["gold"]), "--pred", str(files["pred"]),
+        "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {
+        "error": "UnicodeDecodeError",
+        "message": f"'utf-8' codec can't decode bytes in position 8-9: "
+                   f"invalid continuation byte on line {line} (byte "
+                   f"{len(text) + 8} of the file), in {files[which]}"}
 
 
 @pytest.mark.parametrize("which", ["graphs", "gold", "pred"])
@@ -507,6 +573,34 @@ def test_train_command_writes_artifacts(tmp_path):
                  "run_config.json"):
         assert (out / name).exists()
     assert (out / "checkpoint" / "params.bin").exists()
+
+
+# run in a fresh interpreter, since this one has loaded numpy
+NUMPY_FREE_SCRIPT = """
+import sys
+from qdqa.cli import main
+
+graphs, gold, pred, out = sys.argv[1:]
+assert "numpy" not in sys.modules, "import qdqa.cli"
+main(["validate", graphs], standalone_mode=False)
+assert "numpy" not in sys.modules, "qdqa validate"
+main(["eval", "--graphs", graphs, "--gold", gold, "--pred", pred,
+      "--out", out], standalone_mode=False)
+assert "numpy" not in sys.modules, "qdqa eval"
+"""
+
+
+def test_numpy_loads_only_for_the_model_commands(tmp_path):
+    files = [str(path) for path in write_row1_fixture(tmp_path)]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT, *files,
+         str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["c_f"] == 66.67
 
 
 def test_train_command_bad_config_exits_1(tmp_path):

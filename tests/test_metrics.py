@@ -308,3 +308,23 @@ def test_predictions_jsonl_line_error_messages(lines, message):
     with pytest.raises(ValueError) as info:
         metrics.load_predictions_jsonl("\n".join(lines) + "\n")
     assert str(info.value) == message
+
+
+def test_predictions_jsonl_keys_by_the_given_id_objects():
+    """With `ids`, an id that is one of its keys is stored as the value's
+    object, any other id as decoded; answers and errors are unchanged."""
+    text = "".join(json.dumps({"id": nid, "answer": "yes"}) + "\n"
+                   for nid in ("q1", "q2", "elsewhere"))
+    # built at run time, so none is the object of a literal or the decoder
+    ids = {nid: nid for nid in ("".join(["q", str(i)]) for i in (1, 2, 3))}
+    plain = metrics.load_predictions_jsonl(text)
+    keyed = metrics.load_predictions_jsonl(text, ids)
+    assert keyed == plain and list(keyed) == list(plain)
+    for nid in keyed:
+        assert (nid is ids.get(nid)) == (nid in ids)
+    assert not any(nid is ids.get(nid) for nid in plain)
+    bad = text + json.dumps({"id": "q2", "answer": "no"}) + "\n"
+    for given in (None, ids):
+        with pytest.raises(ValueError, match=r"^line 4: id 'q2' repeats "
+                                             r"line 2$"):
+            metrics.load_predictions_jsonl(bad, given)

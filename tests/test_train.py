@@ -481,6 +481,7 @@ def test_blocked_predict_split_matches_one_block(monkeypatch, row):
         assert predict_split(store, cfg, test_pack) == single
         assert joints[-1] == joints[0]
         assert len(threads) == workers
+        assert threading.get_ident() in threads  # the caller runs a share
 
 
 @pytest.mark.parametrize("row", ["full", "aligner"])
