@@ -137,14 +137,13 @@ def _force_nonempty_rows(ind: Tensor, logits: Tensor) -> Tensor:
 
 
 def hard_indicator(f_m_c, f_q, store: ParamStore, heads: int,
-                   temperature: float, rng=None,
-                   noise=None) -> tuple[Tensor, Tensor]:
+                   temperature: float, noise) -> tuple[Tensor, Tensor]:
     """Straight-through indicator [B, n_c, 2] (column 0 = relevant) plus
-    its logits, with both clip sets of every row kept non-empty.  The
-    Gumbel noise is `noise` when given, else drawn from `rng`."""
+    its logits, with both clip sets of every row kept non-empty, under
+    the Gumbel noise `noise` [B, n_c, 2]."""
     logits = clip_scores(f_m_c, f_q, store, heads)
     ind = ad.gumbel_softmax(logits, temperature=temperature, hard=True,
-                            rng=rng, noise=noise)
+                            noise=noise)
     return _force_nonempty_rows(ind, logits), logits
 
 

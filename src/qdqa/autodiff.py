@@ -577,22 +577,24 @@ def softmax_cross_entropy_batch(logits, targets) -> Tensor:
     return _make(lp[picked].sum() * scale, (logits,), backward)
 
 
-def gumbel_softmax(logits, temperature=1.0, hard=False, rng=None, noise=None) -> Tensor:
+def gumbel_noise(rng, shape) -> np.ndarray:
+    """Standard Gumbel(0,1) draws of `shape` from `rng`, the one place the
+    model draws them.  A generator fills its draws in order, so one draw
+    equals the draws of consecutive leading-axis blocks concatenated."""
+    u = rng.uniform(low=np.finfo(float).tiny, high=1.0, size=shape)
+    return -np.log(-np.log(u))
+
+
+def gumbel_softmax(logits, temperature=1.0, hard=False, *, noise) -> Tensor:
     """Gumbel-softmax over the last axis, optionally straight-through hard.
 
-    `noise` overrides sampling (tests freeze it at 0); otherwise standard
-    Gumbel(0,1) draws from `rng`.  One of the two is required, so no
-    sample is ever drawn from an unseeded generator.
+    `noise` is added to the logits: `gumbel_noise` draws, or zeros for a
+    deterministic pass.  It is required, so no sample is ever drawn from
+    an unseeded generator.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    if rng is None and noise is None:
-        raise ValueError("gumbel_softmax needs rng or noise")
     logits = _as_tensor(logits)
-    if noise is None:
-        u = rng.uniform(low=np.finfo(float).tiny, high=1.0,
-                        size=logits.shape)
-        noise = -np.log(-np.log(u))
     noisy = add(logits, np.asarray(noise, dtype=np.float64))
     soft = softmax(mul(noisy, 1.0 / temperature), axis=-1)
     if not hard:

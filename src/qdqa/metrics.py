@@ -72,19 +72,26 @@ class MetricsReport:
     degenerate_flags: list = field(default_factory=list)
 
 
+def _correct(g: QDG, predictions: dict) -> dict:
+    """Node id -> whether its prediction matches its gold, in `g.nodes`
+    order; the first node without gold, or else without a prediction,
+    raises."""
+    correct = {}
+    for node in g.nodes:
+        if node.gold_answer is None:
+            raise MissingGoldError(node.id)
+        if node.id not in predictions:
+            raise MissingPredictionError(node.id)
+        correct[node.id] = answers_match(predictions[node.id],
+                                         node.gold_answer)
+    return correct
+
+
 def tally_counts(graphs: list[QDG], predictions: dict) -> ConsistencyCounts:
     """One bucket increment per first-order pair across all graphs."""
     n_pp = n_pm = n_mp = n_mm = 0
     for g in graphs:
-        correct = {}
-        for node in g.nodes:
-            if node.gold_answer is None:
-                raise MissingGoldError(node.id)
-            if node.id not in predictions:
-                raise MissingPredictionError(node.id)
-            correct[node.id] = answers_match(
-                predictions[node.id], node.gold_answer
-            )
+        correct = _correct(g, predictions)
         for parent, children in first_order_pairs(g):
             kids_ok = all(correct[c] for c in children)
             if correct[parent]:
@@ -158,15 +165,10 @@ def accuracy_breakdown(graphs: list[QDG], predictions: dict) -> dict:
             ("sub", "open"): 0, ("sub", "binary"): 0}
     totals = dict.fromkeys(hits, 0)
     for g in graphs:
-        for node in g.nodes:
-            if node.gold_answer is None:
-                raise MissingGoldError(node.id)
-            if node.id not in predictions:
-                raise MissingPredictionError(node.id)
-            group = "main" if node.role == "main" else "sub"
-            key = (group, node.kind)
+        for node, ok in zip(g.nodes, _correct(g, predictions).values()):
+            key = ("main" if node.role == "main" else "sub", node.kind)
             totals[key] += 1
-            if answers_match(predictions[node.id], node.gold_answer):
+            if ok:
                 hits[key] += 1
 
     def pct(h, t):

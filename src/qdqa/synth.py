@@ -128,7 +128,8 @@ class SyntheticConfig:
 
 @dataclass
 class SyntheticInstance:
-    """One cluster, with one array row per node in `graph.nodes` order."""
+    """One cluster, with one array row per node in `graph.nodes` order;
+    each node's gold answer is its `gold_answer`."""
 
     graph: QDG
     f_o: np.ndarray  # [n, n_c, n_f, n_o, h_v]: each question's video view
@@ -136,7 +137,6 @@ class SyntheticInstance:
     f_m: np.ndarray  # [n, n_c, h_v]
     q: np.ndarray  # [n, n_q, h_q] question tokens
     planted: np.ndarray  # [n, n_c] bool, True at planted-relevant clips
-    gold: dict  # node id -> answer token
     program: dict  # parent id -> (op, ordered children ids)
 
 
@@ -181,7 +181,7 @@ def apply_program(op: str, child_answers: list[str]) -> str:
 
 
 def _build_graph(config: SyntheticConfig, index: int, rng):
-    """Random program DAG: returns (graph dict parts, program, gold)."""
+    """Random program DAG: returns (graph dict, program)."""
     prefix = f"c{index:05d}"
     nodes = []
     edges = []
@@ -277,7 +277,7 @@ def _build_graph(config: SyntheticConfig, index: int, rng):
         "nodes": nodes,
         "edges": edges,
     }
-    return doc, program, gold
+    return doc, program
 
 
 # an overflow or NaN from a huge config scale fails the finiteness checks
@@ -290,12 +290,12 @@ def generate_instance(config: SyntheticConfig, index: int,
     that are not finite raise ValueError."""
     bank = bank or SignalBank(config)
     rng = np.random.default_rng([config.seed, 1, index])
-    doc, program, gold = _build_graph(config, index, rng)
+    doc, program = _build_graph(config, index, rng)
     graph = from_dict(doc)
     nodes = graph.nodes
     n, n_c, h_v = len(nodes), config.n_c, config.h_v
     vocab_index = config.vocab_index
-    gold_rows = np.array([vocab_index[gold[node.id]] for node in nodes])
+    gold_rows = np.array([vocab_index[node.gold_answer] for node in nodes])
     shapes = ((n_c, config.n_f, config.n_o, h_v), (n_c, config.n_f, h_v),
               (n_c, h_v))
     sizes = [math.prod(shape) for shape in shapes]
@@ -355,7 +355,7 @@ def generate_instance(config: SyntheticConfig, index: int,
         raise ValueError("non-finite question features")
     if not all(np.isfinite(f).all() for f in (f_o, f_a, f_m)):
         raise ValueError("non-finite video features")
-    return SyntheticInstance(graph, f_o, f_a, f_m, q, planted, gold, program)
+    return SyntheticInstance(graph, f_o, f_a, f_m, q, planted, program)
 
 
 @dataclass

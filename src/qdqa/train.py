@@ -147,35 +147,35 @@ class PackedSplit:
     f_a: np.ndarray
     f_m: np.ndarray
     f_q: np.ndarray  # [N, n_q, h_q]
-    gold: np.ndarray  # [N] vocab indices
-    node_ids: list
+    gold: np.ndarray  # [N] vocab indices of the nodes' gold answers
     planted: np.ndarray  # [N, n_c] bool, True at planted-relevant clips
-    # (graph, {node id -> global row}); a cluster's rows run contiguously
-    # in `graph.nodes` (id) order, from where the previous cluster's ended
+    # (graph, range of its rows); a cluster's rows follow `graph.nodes`
+    # (id) order and start where the previous cluster's ended, so row i is
+    # the i-th node of the graphs taken in order
     clusters: list
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_ids)
+        return len(self.gold)
 
 
 def pack_split(instances, vocab_index: dict) -> PackedSplit:
     """The instances' stacked arrays concatenated in order."""
-    node_ids, gold, clusters = [], [], []
-    for inst in instances:
-        ids = [node.id for node in inst.graph.nodes]
-        clusters.append((inst.graph, dict(zip(ids, count(len(node_ids))))))
-        node_ids += ids
-        gold += [vocab_index[inst.gold[nid]] for nid in ids]
+    graphs = [inst.graph for inst in instances]
+    clusters, start = [], 0
+    for g in graphs:
+        clusters.append((g, range(start, start + len(g.nodes))))
+        start += len(g.nodes)
 
     def cat(name):
         return np.concatenate([getattr(inst, name) for inst in instances])
 
     return PackedSplit(
-        graphs=[inst.graph for inst in instances],
+        graphs=graphs,
         f_o=cat("f_o"), f_a=cat("f_a"), f_m=cat("f_m"), f_q=cat("q"),
-        gold=np.array(gold, dtype=np.int64),
-        node_ids=node_ids, planted=cat("planted"), clusters=clusters,
+        gold=np.array([vocab_index[node.gold_answer]
+                       for g in graphs for node in g.nodes], dtype=np.int64),
+        planted=cat("planted"), clusters=clusters,
     )
 
 
@@ -217,28 +217,25 @@ def _clip_gradients(store: ParamStore, max_norm: float) -> None:
 # large split small; on a 1.8k-node evaluation with two workers, blocks
 # of 256 raised the peak memory over a serial pass by 22%, blocks of 128 by 9%
 CLIP_BLOCK = 128
-# threads for the clip blocks of a pass that draws no Gumbel noise from
-# its rng, the calling thread among them, by default the CPUs this process
-# may run on (`qdqa --threads` sets it); a pass uses min(WORKERS,
-# blocks // 2) and runs serially below 2
+# threads for the clip blocks of a pass, the calling thread among them, by
+# default the CPUs this process may run on (`qdqa --threads` sets it); a
+# pass uses min(WORKERS, blocks // 2) and runs serially below 2
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
 def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
-             config: RunConfig, rng=None, noise=None):
+             config: RunConfig, noise=None):
     """The model on pack rows `rows`, the nodes of `clusters` in order.
 
-    The Gumbel noise is `noise` ([len(rows), n_c, 2]) when given, else
-    drawn from `rng`.  Returns (head logits [len(rows), vocab], the
+    `noise` ([len(rows), n_c, 2]) is the aligner's Gumbel noise; only the
+    aligner reads it.  Returns (head logits [len(rows), vocab], the
     aggregator logits or None, the aligner's (f_q, clips, ind, w_rel) or
     None).
 
-    With `noise` given, the aligner's clip blocks run on this thread and a
-    pool of the other workers (numpy drops the GIL in their loops) and are
-    joined in block order, so the bits do not depend on WORKERS.  Drawing
-    from `rng` keeps them in order on this thread, so the random stream is
-    unchanged.
+    The aligner's clip blocks run on this thread and a pool of the other
+    workers (numpy drops the GIL in their loops) and are joined in block
+    order, so the bits do not depend on WORKERS.
 
     The aggregator runs once per cluster, and its logits are one node id
     -> Tensor map per cluster, when a parameter of `store` requires grad.
@@ -260,13 +257,13 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
                 Tensor(pack.f_o[blk]), Tensor(pack.f_a[blk]),
                 Tensor(pack.f_m[blk]), f_q_blk, store, config.heads)
             ind_blk, _ = aligner.hard_indicator(
-                f_m_c, f_q_blk, store, config.heads, config.temperature, rng,
-                None if noise is None else noise[lo:lo + CLIP_BLOCK])
+                f_m_c, f_q_blk, store, config.heads, config.temperature,
+                noise[lo:lo + CLIP_BLOCK])
             return clips_blk, ind_blk
 
         starts = range(0, len(rows), CLIP_BLOCK)
         workers = min(WORKERS, len(starts) // 2)
-        if noise is not None and workers > 1:
+        if workers > 1:
             done = [None] * len(starts)
             taken = count()  # next() on it is atomic under the GIL
 
@@ -312,17 +309,18 @@ def _cluster_logits(joint: Tensor, clusters, store: ParamStore,
     """One aggregator pass per cluster on one `getitem` row per node;
     returns one {node id: logits row Tensor} map per cluster."""
     local = {}
-    for _, rows_map in clusters:
-        for nid in rows_map:
-            local[nid] = len(local)
+    for g, _ in clusters:
+        for node in g.nodes:
+            local[node.id] = len(local)
     maps = []
-    for g, rows_map in clusters:
-        feats = ad.stack([ad.getitem(joint, local[nid]) for nid in rows_map])
+    for g, _ in clusters:
+        feats = ad.stack([ad.getitem(joint, local[node.id])
+                          for node in g.nodes])
         outputs, _ = aggregator.gat_forward(
             feats, aggregator.neighbor_mask(g), store, layers)
         head = aggregator.predict_answers(outputs, store)
-        maps.append({nid: ad.getitem(head, i)
-                     for i, nid in enumerate(rows_map)})
+        maps.append({node.id: ad.getitem(head, i)
+                     for i, node in enumerate(g.nodes)})
     return maps
 
 
@@ -332,11 +330,11 @@ def _grouped_logits(joint: Tensor, clusters, store: ParamStore,
     that size; returns the logits [len(joint), vocab] in joint's rows."""
     groups: dict[int, tuple[list, list]] = {}
     start = 0
-    for g, rows_map in clusters:
-        idx, masks = groups.setdefault(len(rows_map), ([], []))
-        idx.append(range(start, start + len(rows_map)))
+    for g, rows in clusters:
+        idx, masks = groups.setdefault(len(rows), ([], []))
+        idx.append(range(start, start + len(rows)))
         masks.append(aggregator.neighbor_mask(g))
-        start += len(rows_map)
+        start += len(rows)
     logits = np.empty((start, store["ag.head.b"].shape[0]))
     for idx, masks in groups.values():
         idx = np.asarray(idx)  # [B, n]
@@ -350,18 +348,17 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
                    config: RunConfig, rng, noise=None):
     """Gated loss terms on a batch of whole clusters.
 
-    Returns (terms dict, total Tensor).  `rng` draws the Gumbel noise
-    (unless `noise` is given) and the triplet samples.  Terms that are
-    gated off are never computed and never consume randomness, so a
-    reduced model is reproduced bit-identically.
+    Returns (terms dict, total Tensor).  With the aligner on, its Gumbel
+    noise is `noise` ([len(rows), n_c, 2]) when given, else one
+    `gumbel_noise` draw from `rng`, made before the triplet samples.
+    Terms that are gated off are never computed and never consume
+    randomness, so a reduced model is reproduced bit-identically.
     """
     batch = [pack.clusters[i] for i in cluster_ids]
-    rows = np.concatenate([
-        np.fromiter(rows_map.values(), dtype=np.int64)
-        for _, rows_map in batch
-    ])
-    head, maps, aligned = _forward(pack, rows, batch, store, config, rng,
-                                   noise)
+    rows = np.concatenate([np.arange(r.start, r.stop) for _, r in batch])
+    if config.use_aligner and noise is None:
+        noise = ad.gumbel_noise(rng, (len(rows), pack.planted.shape[1], 2))
+    head, maps, aligned = _forward(pack, rows, batch, store, config, noise)
     terms = {}
     if aligned is not None and config.use_contrastive:
         terms["contrastive"] = aligner.anchor_contrastive(*aligned, store)
@@ -393,10 +390,10 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
 def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
     """Deterministic (zero-noise) predictions over a whole split.
 
-    Returns (predictions: node id -> answer token in `pack.node_ids`
-    order, relevance stats dict).  Runs on a frozen view of the store, so
-    no autodiff tape is recorded and the aggregator runs once per cluster
-    size.
+    Returns (predictions: node id -> answer token, in row order, which is
+    the order of the graphs' nodes; relevance stats dict).  Runs on a
+    frozen view of the store, so no autodiff tape is recorded and the
+    aggregator runs once per cluster size.
     """
     _check_dims(store, config)
     head, agg, aligned = _forward(
@@ -404,8 +401,8 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
         noise=np.zeros(pack.planted.shape + (2,)))
     answers = np.argmax(head.data if agg is None else agg, axis=-1)
     vocab = config.synthetic.vocab
-    predictions = {nid: vocab[i]
-                   for nid, i in zip(pack.node_ids, answers.tolist())}
+    ids = (node.id for g in pack.graphs for node in g.nodes)
+    predictions = {nid: vocab[i] for nid, i in zip(ids, answers.tolist())}
     relevance = {}
     if aligned is not None:
         picked = aligned[3].data > 0.5

@@ -334,10 +334,9 @@ def check_total_losses(seed: int) -> float:
 
     hard_gumbel = ad.gumbel_softmax
 
-    def soft_gumbel(logits, temperature=1.0, hard=False, rng=None,
-                    noise=None):
+    def soft_gumbel(logits, temperature=1.0, hard=False, *, noise):
         return hard_gumbel(logits, temperature=temperature, hard=False,
-                           rng=rng, noise=noise)
+                           noise=noise)
 
     def fn():
         ad.gumbel_softmax = soft_gumbel

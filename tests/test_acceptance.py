@@ -84,7 +84,7 @@ def _softmax_and_gumbel_rows(rows, cols, seed):
     x = Tensor(rng.normal(scale=3.0, size=(rows, cols)))
     sm = ad.softmax(x, axis=-1)
     assert np.abs(sm.data.sum(axis=-1) - 1.0).max() < 1e-12
-    hard = ad.gumbel_softmax(x, hard=True, rng=rng)
+    hard = ad.gumbel_softmax(x, hard=True, noise=ad.gumbel_noise(rng, x.shape))
     assert set(np.unique(hard.data)) <= {0.0, 1.0}
     assert (hard.data.sum(axis=-1) == 1.0).all()
 

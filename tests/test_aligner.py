@@ -43,8 +43,8 @@ def soft_gumbel(monkeypatch):
     path), so the objective is smooth enough for finite differences."""
     sample = ad.gumbel_softmax
 
-    def soft(logits, temperature=1.0, hard=False, rng=None, noise=None):
-        return sample(logits, temperature=temperature, hard=False, rng=rng,
+    def soft(logits, temperature=1.0, hard=False, *, noise):
+        return sample(logits, temperature=temperature, hard=False,
                       noise=noise)
 
     monkeypatch.setattr(ad, "gumbel_softmax", soft)

@@ -518,13 +518,14 @@ class TestGumbelSoftmax:
     def test_hard_rows_one_hot(self):
         rng = np.random.default_rng(1)
         out = ad.gumbel_softmax(Tensor(rng.normal(size=(20, 2))), hard=True,
-                                rng=rng)
+                                noise=ad.gumbel_noise(rng, (20, 2)))
         assert set(np.unique(out.data)) <= {0.0, 1.0}
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0)
 
     def test_soft_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        out = ad.gumbel_softmax(Tensor(rng.normal(size=(50, 3))), rng=rng)
+        out = ad.gumbel_softmax(Tensor(rng.normal(size=(50, 3))),
+                                noise=ad.gumbel_noise(rng, (50, 3)))
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
         assert (out.data > 0).all()
 
@@ -534,7 +535,8 @@ class TestGumbelSoftmax:
         rng = np.random.default_rng(3)
         n = 100_000
         logits = Tensor(np.tile([1.0, 0.0], (n, 1)))
-        out = ad.gumbel_softmax(logits, temperature=1.0, hard=True, rng=rng)
+        out = ad.gumbel_softmax(logits, temperature=1.0, hard=True,
+                                noise=ad.gumbel_noise(rng, logits.shape))
         rate = out.data[:, 0].mean()
         expect = 1.0 / (1.0 + np.exp(-1.0))
         assert rate == pytest.approx(expect, abs=0.01)
@@ -546,14 +548,15 @@ class TestGumbelSoftmax:
         (out * np.array([[1.0, 0.0], [0.0, 1.0]])).sum().backward()
         assert x.grad is not None and np.abs(x.grad).sum() > 0
 
-    def test_needs_rng_or_noise(self):
+    def test_needs_noise(self):
         # an unseeded fallback would break the CLI's determinism silently
-        with pytest.raises(ValueError, match="rng or noise"):
+        with pytest.raises(TypeError, match="noise"):
             ad.gumbel_softmax(Tensor(np.zeros((1, 2))), hard=True)
 
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
-            ad.gumbel_softmax(Tensor(np.zeros((1, 2))), temperature=0.0)
+            ad.gumbel_softmax(Tensor(np.zeros((1, 2))), temperature=0.0,
+                              noise=np.zeros((1, 2)))
 
 
 class TestTransformerLayer:

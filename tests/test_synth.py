@@ -13,6 +13,11 @@ from test_qdg import root_of
 CFG = SyntheticConfig(clusters=20, seed=3)
 
 
+def gold_of(g) -> dict:
+    """Node id -> gold answer of a generated graph."""
+    return {node.id: node.gold_answer for node in g.nodes}
+
+
 def test_config_validation():
     with pytest.raises(synth.ConfigError):
         SyntheticConfig(relevant_min=0)
@@ -69,7 +74,8 @@ def test_instance_determinism():
     a = synth.generate_instance(CFG, 4)
     b = synth.generate_instance(CFG, 4)
     assert a.graph == b.graph
-    assert a.gold == b.gold
+    assert [n.gold_answer for n in a.graph.nodes] == \
+        [n.gold_answer for n in b.graph.nodes]
     np.testing.assert_array_equal(a.planted, b.planted)
     np.testing.assert_array_equal(a.f_o, b.f_o)
     np.testing.assert_array_equal(a.q, b.q)
@@ -104,11 +110,12 @@ def test_program_consistency():
     # recomputing every parent answer from children reproduces gold
     for i in range(20):
         inst = synth.generate_instance(CFG, i)
+        gold = gold_of(inst.graph)
         for parent, (op, children) in inst.program.items():
             expect = synth.apply_program(
-                op, [inst.gold[c] for c in children]
+                op, [gold[c] for c in children]
             )
-            assert inst.gold[parent] == expect
+            assert gold[parent] == expect
 
 
 def test_program_edges_match_graph_edges():
@@ -181,8 +188,8 @@ def test_relevance_oracle_beats_random_indicator():
             pooled = f_m[planted].mean(axis=0)
             rand = rng.choice(cfg.n_c, size=planted.sum(), replace=False)
             pooled_rand = f_m[sorted(rand)].mean(axis=0)
-            planted_total += ce(pooled, inst.gold[node.id])
-            random_total += ce(pooled_rand, inst.gold[node.id])
+            planted_total += ce(pooled, node.gold_answer)
+            random_total += ce(pooled_rand, node.gold_answer)
             n_terms += 1
     assert planted_total / n_terms < random_total / n_terms
 
@@ -192,7 +199,8 @@ def _per_node_instance(config, index, bank):
     interleaves the draws with the float arithmetic: the reference that
     the draw-then-stack version must match bit for bit."""
     rng = np.random.default_rng([config.seed, 1, index])
-    doc, program, gold = synth._build_graph(config, index, rng)
+    doc, program = synth._build_graph(config, index, rng)
+    gold = {node["id"]: node["answer"] for node in doc["nodes"]}
     vocab_index = config.vocab_index
     edge_info = {child: (synth.OP_EDGE_TYPES[op], pos)
                  for op, children in program.values()
@@ -268,7 +276,7 @@ def _dataset_digest(cfg: SyntheticConfig) -> str:
             planted = {node.id: np.flatnonzero(row).tolist()
                        for node, row in zip(nodes, inst.planted)}
             h.update(qdg.serialize(inst.graph).encode())
-            h.update(json.dumps([inst.gold, planted, inst.program],
+            h.update(json.dumps([gold_of(inst.graph), planted, inst.program],
                                 sort_keys=True).encode())
             for i in range(len(nodes)):
                 for arr in (inst.f_o[i], inst.f_a[i], inst.f_m[i],
