@@ -30,9 +30,10 @@ def _fail(error: Exception, **extra):
 
 @click.group()
 @click.option("--threads", type=click.IntRange(min=1),
-              help="Threads that train and ablate run evaluation's clip "
-                   "blocks on; outputs do not depend on it.  [default: "
-                   "CPUs available to this process]  BLAS threads follow "
+              help="Threads that train and ablate run the clip blocks of "
+                   "any model pass of 4 or more blocks on, training passes "
+                   "included; outputs do not depend on it.  [default: CPUs "
+                   "available to this process]  BLAS threads follow "
                    "OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.")
 @click.pass_context
 def main(ctx, threads):

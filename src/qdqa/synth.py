@@ -1,21 +1,24 @@
 """Synthetic VidQA clusters with planted clip relevance and answer programs.
 
-Each instance is one decomposition graph plus one video view per question,
-stacked with the question tokens and planted clips into `[n, ...]` arrays
-whose rows follow `graph.nodes` (id) order: the layout `train.pack_split`
-concatenates and the model reads.  Relevant clips carry a fixed relevance
-direction, the node's gold-answer embedding, and a question-correlated
-component; irrelevant clips carry a distractor answer embedding and noise.
-Parent answers are computed from children through a symbolic program (AND /
-OR / EQUALS / FIRST); the operator and child position are cued on the child
-question features, so a parent's answer is decodable only by aggregating
-over its children.
+Each cluster is one decomposition graph plus one video view per question.
+A run of clusters is generated as one split: its nodes' video views,
+question tokens and planted clips stacked into `[N, ...]` arrays whose rows
+follow the graphs in order, each graph's in `graph.nodes` (id) order: the
+layout `train.pack_split` takes as it is and the model reads.  Relevant
+clips carry a fixed relevance direction, the node's gold-answer embedding,
+and a question-correlated component; irrelevant clips carry a distractor
+answer embedding and noise.  Parent answers are computed from children
+through a symbolic program (AND / OR / EQUALS / FIRST); the operator and
+child position are cued on the child question features, so a parent's
+answer is decodable only by aggregating over its children.
 
-Draw order.  `generate_instance(config, i)` draws everything from one
-generator seeded with (config.seed, 1, i), so every dataset byte, and so
-every report, rests on the order of its draws.  `_build_graph` draws first,
-while it grows the program, picks operators and draws the leaf answers.
-Then each node, in id order, makes these draws and no others:
+Draw order.  `generate_clusters(config, indices)` draws all of a cluster
+from one generator seeded with (config.seed, 1, index), so every dataset
+byte, and so every report, rests on the order of its draws.  First, cluster
+by cluster in index order, `_build_graph` draws while it grows the program,
+picks operators and draws the leaf answers.  Then, cluster by cluster, each
+node in id order makes these draws from its cluster's generator and no
+others:
 
 1. its question tokens, `normal(size=(n_q, h_q))`;
 2. its relevant-clip count, `integers(relevant_min, relevant_max + 1)`;
@@ -24,14 +27,17 @@ Then each node, in id order, makes these draws and no others:
 5. one distractor among the other answers for each irrelevant clip, in
    clip order: `integers(len(vocab) - 1, size=n_c - n_rel)`.
 
-Only then does the float arithmetic run, once over the cluster's stacked
-`[n, ...]` arrays; it never touches the generator.  A reordered, added or
-dropped draw shifts every later draw of its cluster, and so changes the
-dataset bytes and every report.  So does a float operation that rounds
-differently from the per-node one, such as one matrix product in place of
-a stack of vector-matrix products.  `test_generated_datasets_are_byte_pinned`
-pins the bytes, and `test_stacked_arithmetic_matches_the_per_node_loop`
-checks them against a per-node loop that interleaves draws and arithmetic.
+Only then does the float arithmetic run, once over the run's stacked
+`[N, ...]` arrays; it never touches a generator, and each of its ops is
+elementwise or per row, so no byte depends on which run a cluster is
+generated in.  A reordered, added or dropped draw shifts every later draw
+of its cluster, and so changes the dataset bytes and every report.  So does
+a float operation that rounds differently from the per-node one, such as
+one matrix product in place of a stack of vector-matrix products.
+`test_generated_datasets_are_byte_pinned` pins the bytes, and
+`test_stacked_arithmetic_matches_the_per_node_loop` checks them against a
+per-node loop that interleaves draws and arithmetic, and a run of clusters
+against the same clusters generated one at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qdg import QDG, VALID_ROLES, from_dict
+from .qdg import VALID_ROLES, from_dict
 
 OPEN_VOCAB = ("red", "blue", "green")
 BINARY_VOCAB = ("yes", "no")
@@ -127,17 +133,19 @@ class SyntheticConfig:
 
 
 @dataclass
-class SyntheticInstance:
-    """One cluster, with one array row per node in `graph.nodes` order;
-    each node's gold answer is its `gold_answer`."""
+class SyntheticSplit:
+    """A run of clusters stacked into `[N, ...]` arrays: row i is the i-th
+    node of the graphs taken in order, each graph's rows in `graph.nodes`
+    (id) order; each node's gold answer is its `gold_answer`.  f_o, f_a and
+    f_m are row-strided views of one buffer."""
 
-    graph: QDG
-    f_o: np.ndarray  # [n, n_c, n_f, n_o, h_v]: each question's video view
-    f_a: np.ndarray  # [n, n_c, n_f, h_v]
-    f_m: np.ndarray  # [n, n_c, h_v]
-    q: np.ndarray  # [n, n_q, h_q] question tokens
-    planted: np.ndarray  # [n, n_c] bool, True at planted-relevant clips
-    program: dict  # parent id -> (op, ordered children ids)
+    graphs: list  # QDG per cluster
+    programs: list  # per cluster: parent id -> (op, ordered children ids)
+    f_o: np.ndarray  # [N, n_c, n_f, n_o, h_v]: each question's video view
+    f_a: np.ndarray  # [N, n_c, n_f, h_v]
+    f_m: np.ndarray  # [N, n_c, h_v]
+    q: np.ndarray  # [N, n_q, h_q] question tokens
+    planted: np.ndarray  # [N, n_c] bool, True at planted-relevant clips
 
 
 class SignalBank:
@@ -283,47 +291,61 @@ def _build_graph(config: SyntheticConfig, index: int, rng):
 # an overflow or NaN from a huge config scale fails the finiteness checks
 # at the end, which numpy's warnings would only repeat
 @np.errstate(over="ignore", invalid="ignore")
-def generate_instance(config: SyntheticConfig, index: int,
-                      bank: SignalBank | None = None) -> SyntheticInstance:
-    """Deterministic for (config.seed, index); the module docstring gives
+def generate_clusters(config: SyntheticConfig, indices,
+                      bank: SignalBank | None = None) -> SyntheticSplit:
+    """The clusters of `indices`, in order, as one stacked split; each is
+    deterministic for (config.seed, index), and the module docstring gives
     the draw order that fixes its bytes.  Question tokens or video features
     that are not finite raise ValueError."""
     bank = bank or SignalBank(config)
-    rng = np.random.default_rng([config.seed, 1, index])
-    doc, program = _build_graph(config, index, rng)
-    graph = from_dict(doc)
-    nodes = graph.nodes
+    # graph phase: per cluster, its generator, its graph and its cue rows
+    graphs, programs, rngs, cued = [], [], [], []
+    for index in indices:
+        rng = np.random.default_rng([config.seed, 1, index])
+        doc, program = _build_graph(config, index, rng)
+        graph = from_dict(doc)
+        edge_info = {child: (OP_EDGE_TYPES[op], pos)
+                     for op, children in program.values()
+                     for pos, child in enumerate(children)}
+        cued += [(len(rngs) + i, *edge_info[node.id])
+                 for i, node in enumerate(graph.nodes)
+                 if node.id in edge_info]
+        graphs.append(graph)
+        programs.append(program)
+        rngs += [rng] * len(graph.nodes)  # the generator of each row
+    nodes = [node for g in graphs for node in g.nodes]
     n, n_c, h_v = len(nodes), config.n_c, config.h_v
     vocab_index = config.vocab_index
-    gold_rows = np.array([vocab_index[node.gold_answer] for node in nodes])
+    # an index array even for an empty run, where np.array would be float
+    gold_rows = np.array([vocab_index[node.gold_answer] for node in nodes],
+                         dtype=np.int64)
     shapes = ((n_c, config.n_f, config.n_o, h_v), (n_c, config.n_f, h_v),
               (n_c, h_v))
     sizes = [math.prod(shape) for shape in shapes]
 
-    # draw phase: every rng draw, node by node in id order
+    # draw phase: every rng draw, row by row, into the run's arrays
     q = np.empty((n, config.n_q, config.h_q))
     noise = np.empty((n, sum(sizes)))
-    planted, picks = np.zeros((n, n_c), dtype=bool), []
-    for i in range(n):
+    planted = np.zeros((n, n_c), dtype=bool)
+    distractor = np.zeros((n, n_c), dtype=np.int64)
+    for i, rng in enumerate(rngs):
         q[i] = rng.normal(size=q.shape[1:])
         n_rel = int(rng.integers(config.relevant_min,
                                  config.relevant_max + 1))
         planted[i, rng.choice(n_c, size=n_rel, replace=False)] = True
         noise[i] = rng.normal(size=noise.shape[1])
         # one pick among the other answers per irrelevant clip
-        picks.append(rng.integers(len(vocab_index) - 1, size=n_c - n_rel))
+        distractor[i, ~planted[i]] = rng.integers(len(vocab_index) - 1,
+                                                  size=n_c - n_rel)
 
-    # arithmetic phase: no draws, the same float ops on the stacked rows
+    # arithmetic phase: no draws, elementwise or per-row float ops over the
+    # whole run, so no byte depends on how the clusters are grouped
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    edge_info = {child: (OP_EDGE_TYPES[op], pos)
-                 for op, children in program.values()
-                 for pos, child in enumerate(children)}
-    cued = [(i, *edge_info[node.id]) for i, node in enumerate(nodes)
-            if node.id in edge_info]
     rows = [i for i, _, _ in cued]
-    cue = np.stack([bank.op_emb[etype] for _, etype, _ in cued]) + (
-        bank.position_emb[[min(pos, len(bank.position_emb) - 1)
-                           for _, _, pos in cued]])
+    # the reshape keeps an empty run's cue [0, h_q]; np.stack would raise
+    ops = np.array([bank.op_emb[etype] for _, etype, _ in cued])
+    cue = ops.reshape(-1, config.h_q) + bank.position_emb[
+        [min(pos, len(bank.position_emb) - 1) for _, _, pos in cued]]
     q[rows] = q[rows] + config.op_signal_scale * cue[:, None, :]
 
     # (answer_scale * gain) first, in Python floats: the grouping fixes
@@ -339,8 +361,6 @@ def generate_instance(config: SyntheticConfig, index: int,
         + config.question_scale * (q_bar[:, None] @ bank.question_map)[:, 0]
     )
     # the k-th other answer skips the gold one: k, or k + 1 past gold
-    distractor = np.zeros((n, n_c), dtype=np.int64)
-    distractor[~planted] = np.concatenate(picks)
     distractor += distractor >= gold_rows[:, None]
     add = np.where(planted[..., None], signal[:, None],
                    answer_gain[..., None] * bank.answer_emb[distractor])
@@ -355,14 +375,14 @@ def generate_instance(config: SyntheticConfig, index: int,
         raise ValueError("non-finite question features")
     if not all(np.isfinite(f).all() for f in (f_o, f_a, f_m)):
         raise ValueError("non-finite video features")
-    return SyntheticInstance(graph, f_o, f_a, f_m, q, planted, program)
+    return SyntheticSplit(graphs, programs, f_o, f_a, f_m, q, planted)
 
 
 @dataclass
 class Dataset:
-    train: list
-    validation: list
-    test: list
+    train: SyntheticSplit
+    validation: SyntheticSplit
+    test: SyntheticSplit
 
 
 # the fewest clusters whose 70/15/15 split leaves no split empty
@@ -370,16 +390,9 @@ MIN_CLUSTERS = 7
 
 
 def generate_dataset(config: SyntheticConfig) -> Dataset:
-    """70/15/15 split over disjoint index ranges."""
+    """70/15/15 split over disjoint index ranges, one stacked run each."""
     bank = SignalBank(config)
-    instances = [
-        generate_instance(config, i, bank) for i in range(config.clusters)
-    ]
     n = config.clusters
-    n_train = int(n * 0.7)
-    n_val = int(n * 0.15)
-    return Dataset(
-        train=instances[:n_train],
-        validation=instances[n_train:n_train + n_val],
-        test=instances[n_train + n_val:],
-    )
+    cuts = (0, int(n * 0.7), int(n * 0.7) + int(n * 0.15), n)
+    return Dataset(*(generate_clusters(config, range(lo, hi), bank)
+                     for lo, hi in zip(cuts, cuts[1:])))

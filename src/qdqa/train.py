@@ -159,23 +159,20 @@ class PackedSplit:
         return len(self.gold)
 
 
-def pack_split(instances, vocab_index: dict) -> PackedSplit:
-    """The instances' stacked arrays concatenated in order."""
-    graphs = [inst.graph for inst in instances]
+def pack_split(split, vocab_index: dict) -> PackedSplit:
+    """A generated split's arrays as they are, with the gold answers and
+    each cluster's rows read off its graphs."""
     clusters, start = [], 0
-    for g in graphs:
+    for g in split.graphs:
         clusters.append((g, range(start, start + len(g.nodes))))
         start += len(g.nodes)
-
-    def cat(name):
-        return np.concatenate([getattr(inst, name) for inst in instances])
-
     return PackedSplit(
-        graphs=graphs,
-        f_o=cat("f_o"), f_a=cat("f_a"), f_m=cat("f_m"), f_q=cat("q"),
+        graphs=split.graphs, f_o=split.f_o, f_a=split.f_a, f_m=split.f_m,
+        f_q=split.q,
         gold=np.array([vocab_index[node.gold_answer]
-                       for g in graphs for node in g.nodes], dtype=np.int64),
-        planted=cat("planted"), clusters=clusters,
+                       for g in split.graphs for node in g.nodes],
+                      dtype=np.int64),
+        planted=split.planted, clusters=clusters,
     )
 
 
@@ -500,13 +497,14 @@ def _train_step(pack: PackedSplit, batch, store: ParamStore, opt: Adam,
 
 def _packed_splits(config: RunConfig):
     """The config's dataset packed into (train, validation, test) splits,
-    and the seconds spent generating and packing it.  The raw instances
-    die on return: the packs hold copies of their arrays."""
+    and the seconds spent generating and packing it.  Each pack holds its
+    generated split's arrays themselves, with no copy; the split objects,
+    and their answer programs, die on return."""
     started = time.monotonic()
     ds = generate_dataset(config.synthetic)
     generate_s = time.monotonic() - started
     for name in ("train", "validation", "test"):
-        if not getattr(ds, name):
+        if not getattr(ds, name).graphs:
             raise ConfigError(
                 f"the {name} split is empty: synthetic.clusters is "
                 f"{config.synthetic.clusters}, and must be at least "

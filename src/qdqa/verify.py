@@ -12,7 +12,7 @@ import numpy as np
 from . import aggregator, aligner, autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .qdg import from_dict
-from .synth import SyntheticConfig, generate_instance
+from .synth import SyntheticConfig, generate_clusters
 from .train import RunConfig, forward_losses, init_params, pack_split
 
 TOLERANCE = 1e-4
@@ -317,8 +317,8 @@ def check_total_losses(seed: int) -> float:
                                   h_q=8, n_q=2, seed=seed),
         h=8, heads=2, layers=2, seed=seed, steps=1,
     )
-    inst = [generate_instance(config.synthetic, i) for i in range(2)]
-    pack = pack_split(inst, config.synthetic.vocab_index)
+    pack = pack_split(generate_clusters(config.synthetic, range(2)),
+                      config.synthetic.vocab_index)
     store = init_params(config)
     rng = np.random.default_rng([seed, 7])
     noise = np.zeros((pack.n_nodes, config.synthetic.n_c, 2))

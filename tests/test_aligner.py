@@ -5,7 +5,7 @@ import pytest
 
 from qdqa import aligner, autodiff as ad, train as tr
 from qdqa.autodiff import ParamStore, Tensor
-from qdqa.synth import SyntheticConfig, generate_instance
+from qdqa.synth import SyntheticConfig, generate_clusters
 
 H = 8
 HEADS = 2
@@ -355,8 +355,7 @@ def objective_setup(row, seed):
                          n_q=2, seed=seed)
     cfg = tr.RunConfig(synthetic=sc, h=H, heads=HEADS, layers=2, seed=seed,
                        steps=1, **dict(tr.ABLATION_ROWS)[row])
-    pack = tr.pack_split([generate_instance(sc, i) for i in range(2)],
-                         sc.vocab_index)
+    pack = tr.pack_split(generate_clusters(sc, range(2)), sc.vocab_index)
     return cfg, pack, tr.init_params(cfg)
 
 

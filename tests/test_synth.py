@@ -6,6 +6,7 @@ import pytest
 
 from qdqa import qdg, synth
 from qdqa.synth import SignalBank, SyntheticConfig
+from qdqa.train import RunConfig, _packed_splits
 
 from test_qdg import root_of
 
@@ -43,7 +44,7 @@ def test_open_leaf_prob_must_be_a_probability(prob):
 ])
 def test_non_finite_features_raise_without_numpy_warnings(key, value, what):
     with pytest.raises(ValueError, match=f"non-finite {what} features"):
-        synth.generate_instance(SyntheticConfig(**{key: value}), 0)
+        synth.generate_clusters(SyntheticConfig(**{key: value}), [0])
 
 
 @pytest.mark.parametrize("role_gain, named", [
@@ -71,26 +72,23 @@ def test_apply_program_boolean_reductions():
 
 
 def test_instance_determinism():
-    a = synth.generate_instance(CFG, 4)
-    b = synth.generate_instance(CFG, 4)
-    assert a.graph == b.graph
-    assert [n.gold_answer for n in a.graph.nodes] == \
-        [n.gold_answer for n in b.graph.nodes]
+    a = synth.generate_clusters(CFG, [4])
+    b = synth.generate_clusters(CFG, [4])
+    assert a.graphs == b.graphs
+    assert [n.gold_answer for n in a.graphs[0].nodes] == \
+        [n.gold_answer for n in b.graphs[0].nodes]
     np.testing.assert_array_equal(a.planted, b.planted)
     np.testing.assert_array_equal(a.f_o, b.f_o)
     np.testing.assert_array_equal(a.q, b.q)
 
 
 def test_instances_differ_across_indices():
-    a = synth.generate_instance(CFG, 0)
-    b = synth.generate_instance(CFG, 1)
-    assert a.graph.graph_id != b.graph.graph_id
+    a, b = synth.generate_clusters(CFG, [0, 1]).graphs
+    assert a.graph_id != b.graph_id
 
 
 def test_graphs_validate_and_roles_consistent():
-    for i in range(20):
-        inst = synth.generate_instance(CFG, i)
-        g = inst.graph
+    for g in synth.generate_clusters(CFG, range(20)).graphs:
         # re-parsing the serialized form must succeed and round-trip
         assert qdg.parse_and_validate(qdg.serialize(g)) == g
         assert root_of(g).role == "main"
@@ -99,19 +97,19 @@ def test_graphs_validate_and_roles_consistent():
 def test_planted_relevance_sizes_in_range():
     cfg = SyntheticConfig(clusters=100, relevant_min=2, relevant_max=4,
                           seed=9)
-    for i in range(100):
-        inst = synth.generate_instance(cfg, i)
-        assert inst.planted.shape == (len(inst.graph.nodes), cfg.n_c)
-        for n_rel in inst.planted.sum(axis=1):
-            assert cfg.relevant_min <= n_rel <= cfg.relevant_max
+    split = synth.generate_clusters(cfg, range(100))
+    assert split.planted.shape == (sum(len(g.nodes) for g in split.graphs),
+                                   cfg.n_c)
+    for n_rel in split.planted.sum(axis=1):
+        assert cfg.relevant_min <= n_rel <= cfg.relevant_max
 
 
 def test_program_consistency():
     # recomputing every parent answer from children reproduces gold
-    for i in range(20):
-        inst = synth.generate_instance(CFG, i)
-        gold = gold_of(inst.graph)
-        for parent, (op, children) in inst.program.items():
+    split = synth.generate_clusters(CFG, range(20))
+    for g, program in zip(split.graphs, split.programs):
+        gold = gold_of(g)
+        for parent, (op, children) in program.items():
             expect = synth.apply_program(
                 op, [gold[c] for c in children]
             )
@@ -119,21 +117,22 @@ def test_program_consistency():
 
 
 def test_program_edges_match_graph_edges():
-    inst = synth.generate_instance(CFG, 7)
+    split = synth.generate_clusters(CFG, [7])
     prog_edges = {
         (p, c)
-        for p, (_, children) in inst.program.items()
+        for p, (_, children) in split.programs[0].items()
         for c in children
     }
-    assert prog_edges == {(e.parent, e.child) for e in inst.graph.edges}
+    assert prog_edges == {(e.parent, e.child) for e in split.graphs[0].edges}
 
 
 def test_dataset_split_sizes_and_disjointness():
     cfg = SyntheticConfig(clusters=100, seed=1)
     ds = synth.generate_dataset(cfg)
-    assert (len(ds.train), len(ds.validation), len(ds.test)) == (70, 15, 15)
-    ids = [inst.graph.graph_id for split in (ds.train, ds.validation, ds.test)
-           for inst in split]
+    assert (len(ds.train.graphs), len(ds.validation.graphs),
+            len(ds.test.graphs)) == (70, 15, 15)
+    ids = [g.graph_id for split in (ds.train, ds.validation, ds.test)
+           for g in split.graphs]
     assert len(set(ids)) == 100
 
 
@@ -143,8 +142,7 @@ def test_leaf_answer_marginals():
     ds = synth.generate_dataset(cfg)
     counts = {}
     n_binary = n_open = 0
-    for inst in ds.train + ds.validation + ds.test:
-        g = inst.graph
+    for g in ds.train.graphs + ds.validation.graphs + ds.test.graphs:
         for node in g.nodes:
             if node.role != "leaf":
                 continue
@@ -181,21 +179,20 @@ def test_relevance_oracle_beats_random_indicator():
 
     planted_total = random_total = 0.0
     n_terms = 0
-    for i in range(100):
-        inst = synth.generate_instance(cfg, i, bank)
-        for node, f_m, planted in zip(inst.graph.nodes, inst.f_m,
-                                      inst.planted):
-            pooled = f_m[planted].mean(axis=0)
-            rand = rng.choice(cfg.n_c, size=planted.sum(), replace=False)
-            pooled_rand = f_m[sorted(rand)].mean(axis=0)
-            planted_total += ce(pooled, node.gold_answer)
-            random_total += ce(pooled_rand, node.gold_answer)
-            n_terms += 1
+    split = synth.generate_clusters(cfg, range(100), bank)
+    nodes = [node for g in split.graphs for node in g.nodes]
+    for node, f_m, planted in zip(nodes, split.f_m, split.planted):
+        pooled = f_m[planted].mean(axis=0)
+        rand = rng.choice(cfg.n_c, size=planted.sum(), replace=False)
+        pooled_rand = f_m[sorted(rand)].mean(axis=0)
+        planted_total += ce(pooled, node.gold_answer)
+        random_total += ce(pooled_rand, node.gold_answer)
+        n_terms += 1
     assert planted_total / n_terms < random_total / n_terms
 
 
 def _per_node_instance(config, index, bank):
-    """generate_instance's features as one loop over the nodes that
+    """One cluster's generated features as one loop over the nodes that
     interleaves the draws with the float arithmetic: the reference that
     the draw-then-stack version must match bit for bit."""
     rng = np.random.default_rng([config.seed, 1, index])
@@ -253,16 +250,42 @@ def _per_node_instance(config, index, bank):
 ], ids=["default", "wide", "all_relevant"])
 def test_stacked_arithmetic_matches_the_per_node_loop(cfg):
     bank = SignalBank(cfg)
-    for index in range(cfg.clusters):
-        inst = synth.generate_instance(cfg, index, bank)
+    singles = [synth.generate_clusters(cfg, [index], bank)
+               for index in range(cfg.clusters)]
+    for index, one in enumerate(singles):
         ref = _per_node_instance(cfg, index, bank)
-        assert list(ref) == [node.id for node in inst.graph.nodes]
+        assert list(ref) == [node.id for node in one.graphs[0].nodes]
         for i, (rel, q, f_o, f_a, f_m) in enumerate(ref.values()):
-            assert np.flatnonzero(inst.planted[i]).tolist() == rel
-            for got, want in ((inst.q[i], q), (inst.f_o[i], f_o),
-                              (inst.f_a[i], f_a), (inst.f_m[i], f_m)):
+            assert np.flatnonzero(one.planted[i]).tolist() == rel
+            for got, want in ((one.q[i], q), (one.f_o[i], f_o),
+                              (one.f_a[i], f_a), (one.f_m[i], f_m)):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+    # the arithmetic runs once over a run's rows, so a run is its clusters'
+    # one-cluster runs concatenated, byte for byte
+    run = synth.generate_clusters(cfg, range(3, cfg.clusters), bank)
+    assert run.graphs == [one.graphs[0] for one in singles[3:]]
+    assert run.programs == [one.programs[0] for one in singles[3:]]
+    for name in ("f_o", "f_a", "f_m", "q", "planted"):
+        want = np.concatenate([getattr(one, name) for one in singles[3:]])
+        assert getattr(run, name).shape == want.shape
+        assert getattr(run, name).tobytes() == want.tobytes()
+
+
+def test_an_empty_run_is_a_split_of_zero_rows():
+    split = synth.generate_clusters(CFG, [])
+    assert split.graphs == [] and split.programs == []
+    for arr, shape in ((split.f_o, (CFG.n_c, CFG.n_f, CFG.n_o, CFG.h_v)),
+                       (split.f_a, (CFG.n_c, CFG.n_f, CFG.h_v)),
+                       (split.f_m, (CFG.n_c, CFG.h_v)),
+                       (split.q, (CFG.n_q, CFG.h_q)),
+                       (split.planted, (CFG.n_c,))):
+        assert arr.shape == (0, *shape)
+    # 2 clusters split 1/0/1, and the empty split is named
+    cfg = RunConfig(synthetic=SyntheticConfig(clusters=2))
+    with pytest.raises(synth.ConfigError,
+                       match="the validation split is empty"):
+        _packed_splits(cfg)
 
 
 def _dataset_digest(cfg: SyntheticConfig) -> str:
@@ -271,16 +294,18 @@ def _dataset_digest(cfg: SyntheticConfig) -> str:
     ds = synth.generate_dataset(cfg)
     for split in (ds.train, ds.validation, ds.test):
         h.update(b"|split|")
-        for inst in split:
-            nodes = inst.graph.nodes  # id-sorted, as the rows are
-            planted = {node.id: np.flatnonzero(row).tolist()
-                       for node, row in zip(nodes, inst.planted)}
-            h.update(qdg.serialize(inst.graph).encode())
-            h.update(json.dumps([gold_of(inst.graph), planted, inst.program],
+        start = 0
+        for g, program in zip(split.graphs, split.programs):
+            rows = range(start, start + len(g.nodes))  # id-sorted nodes
+            start = rows.stop
+            planted = {node.id: np.flatnonzero(split.planted[i]).tolist()
+                       for node, i in zip(g.nodes, rows)}
+            h.update(qdg.serialize(g).encode())
+            h.update(json.dumps([gold_of(g), planted, program],
                                 sort_keys=True).encode())
-            for i in range(len(nodes)):
-                for arr in (inst.f_o[i], inst.f_a[i], inst.f_m[i],
-                            inst.q[i]):
+            for i in rows:
+                for arr in (split.f_o[i], split.f_a[i], split.f_m[i],
+                            split.q[i]):
                     h.update(repr((arr.dtype.str, arr.shape)).encode())
                     h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()

@@ -93,11 +93,39 @@ def test_pack_split_shapes_and_rows():
     assert start == n
     ds = generate_dataset(sc)
     vocab = sc.vocab
-    for inst, (g, rows) in zip(ds.train, train_pack.clusters):
-        assert inst.graph == g
-        assert inst.planted.tobytes() == train_pack.planted[rows].tobytes()
+    assert ds.train.graphs == train_pack.graphs
+    assert ds.train.planted.tobytes() == train_pack.planted.tobytes()
+    for g, rows in train_pack.clusters:
         assert [vocab[i] for i in train_pack.gold[rows]] == \
             [node.gold_answer for node in g.nodes]
+
+
+SPLIT_ARRAYS = (("f_o", "f_o"), ("f_a", "f_a"), ("f_m", "f_m"), ("q", "f_q"),
+                ("planted", "planted"))
+
+
+def test_packing_copies_no_array(monkeypatch):
+    """A pack holds its generated split's arrays, not copies of them."""
+    cfg = tiny_config()
+    ds = generate_dataset(cfg.synthetic)
+    pack = pack_split(ds.validation, cfg.synthetic.vocab_index)
+    for name, packed in SPLIT_ARRAYS:
+        assert np.shares_memory(getattr(ds.validation, name),
+                                getattr(pack, packed))
+    generated = []
+
+    def generate_spy(config):
+        generated.append(generate_dataset(config))
+        return generated[-1]
+
+    monkeypatch.setattr(tr, "generate_dataset", generate_spy)
+    packs, _, _ = tr._packed_splits(cfg)
+    (ds,) = generated
+    for split, pack in zip((ds.train, ds.validation, ds.test), packs):
+        assert pack.graphs is split.graphs
+        for name, packed in SPLIT_ARRAYS:
+            assert np.shares_memory(getattr(split, name),
+                                    getattr(pack, packed))
 
 
 def _pack_digest(cfg: SyntheticConfig) -> str:
@@ -433,16 +461,15 @@ def test_default_training_step_stays_within_its_tape_budget(row, budget):
 def test_a_step_holds_neither_the_last_tape_nor_the_raw_dataset(monkeypatch,
                                                                  row):
     """At the start of each step's forward no array of the previous step's
-    tape is alive, and no array of the generated instances either: the
-    packs hold copies of them."""
+    tape is alive, and no generated split either: the packs hold the
+    splits' arrays, and the splits with their answer programs are gone."""
     generate, forward = tr.generate_dataset, tr.forward_losses
     held, seen = [], []
 
     def generate_spy(config):
         ds = generate(config)
-        held.extend(weakref.ref(getattr(inst, name))
-                    for inst in ds.train + ds.validation + ds.test
-                    for name in ("f_o", "f_a", "f_m", "q", "planted"))
+        held.extend(weakref.ref(obj) for obj in
+                    (ds, ds.train, ds.validation, ds.test))
         return ds
 
     def forward_spy(*args, **kwargs):
@@ -604,7 +631,7 @@ def test_relevance_tally_matches_set_loop(monkeypatch):
     ind = np.concatenate(blocks)
     ds = generate_dataset(cfg.synthetic)
     rels = [np.flatnonzero(row).tolist()
-            for inst in ds.validation for row in inst.planted]
+            for row in ds.validation.planted]
     hit = planted = chosen = 0
     for i, rel in enumerate(rels):
         picked = set(np.nonzero(ind[i, :, 0] > 0.5)[0])
