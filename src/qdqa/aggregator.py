@@ -64,9 +64,9 @@ def gat_layer(feats: Tensor, mask: np.ndarray, store: ParamStore,
 
     ([f_i || f_j] @ Ws split into the row blocks of Ws; the mul zeroes the
     masked tail exactly).  Its parents are feats three times (the left
-    matmul, the right linear, the wg linear), ws twice (one zero-padded
-    gradient per row block, as getitem builds them), then ws.b, a, wg.w
-    and wg.b: the order in which the chain's walk reaches them.
+    matmul, the right linear, the wg linear), ws twice (one `RowGrad` per
+    row block, as getitem returns them), then ws.b, a, wg.w and wg.b: the
+    order in which the chain's walk reaches them.
 
     Every op works matrix by matrix or row by row over the leading axes,
     so a stacked graph gets the same bits as the same graph alone."""
@@ -92,14 +92,6 @@ def gat_layer(feats: Tensor, mask: np.ndarray, store: ParamStore,
     pre = alpha @ transformed
     on = pre > 0
 
-    def padded(rows, part):
-        """getitem's backward: `part` in a zero array of ws's shape."""
-        if part is None:
-            return None
-        full = np.zeros_like(wsd)
-        full[rows] += part
-        return full
-
     def backward(g):
         need_f, need_ws = ad._needs_grad(feats), ad._needs_grad(ws)
         g_alpha, g_tr = ad._matmul_grads(g * on, alpha, transformed, True,
@@ -120,8 +112,10 @@ def gat_layer(feats: Tensor, mask: np.ndarray, store: ParamStore,
         g_f1, g_top = ad._matmul_grads(g_left, fd, top, need_f, need_ws)
         g_f2, g_bottom = ad._matmul_grads(g_right, fd, bottom, need_f,
                                           need_ws)
-        return (g_f1, g_f2, g_f3, padded(slice(0, h), g_top),
-                padded(slice(h, 2 * h), g_bottom),
+        if need_ws:
+            g_top = ad.RowGrad(slice(0, h), g_top)
+            g_bottom = ad.RowGrad(slice(h, 2 * h), g_bottom)
+        return (g_f1, g_f2, g_f3, g_top, g_bottom,
                 ad._unbroadcast(g_right, wsb.shape)
                 if ad._needs_grad(wsb) else None,
                 g_a, g_wg,

@@ -7,10 +7,13 @@ finite differences are a meaningful oracle.
 
 Invariant: `Tensor.backward` visits the tape in reverse DFS post-order from
 the loss and adds each incoming gradient to a node's running sum in that
-order (`acc + pg`, never in place).  Float addition is not associative, so
-any other order changes gradient bits, and through training the bytes of
-every report; a backward closure may return None for a parent that neither
-requires grad nor has parents, because the walk would discard it anyway.
+order.  Float addition is not associative, so any other order changes
+gradient bits, and through training the bytes of every report.  A backward
+closure may return None for a parent that neither requires grad nor has
+parents (the walk would discard it), or a `RowGrad` that the walk adds
+into the parent's rows only.  The walk sums in place only into an array
+it allocated; one that a closure returned may be handed to several
+parents (`add`, straight-through, `stack` views), so it is never written.
 
 Fusion rule: a chain of ops may become one tape node only where each
 intermediate has a single consumer, so no gradient sum inside the chain is
@@ -28,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +55,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside `parent[idx]`, `idx` a basic index
+    (each entry at most once): `acc[idx] += g`, or a new zero array with
+    the rows added for a first gradient, gives the dense sum's bits up to
+    the sign of an exact zero."""
+    idx: object
+    g: np.ndarray
 
 
 class Tensor:
@@ -84,6 +97,10 @@ class Tensor:
             if self.data.size != 1:
                 raise ShapeError("backward() without grad requires a scalar")
             grad = np.ones_like(self.data)
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != self.shape:
+            raise ShapeError(f"gradient of shape {grad.shape} for a tensor "
+                             f"of shape {self.shape}")
         topo = []
         seen = set()
         mark = seen.add
@@ -101,8 +118,9 @@ class Tensor:
             for p in node._parents:
                 if p not in seen:
                     push((p, False))
-        grads = {self: np.asarray(grad, dtype=np.float64)}
-        take, get = grads.pop, grads.get
+        grads = {self: grad}
+        owned = set()  # nodes whose running sum the walk allocated
+        take, get, own = grads.pop, grads.get, owned.add
         for node in reversed(topo):
             g = take(node, None)
             if g is None:
@@ -114,7 +132,22 @@ class Tensor:
                     if pg is None:
                         continue
                     acc = get(parent)
-                    grads[parent] = pg if acc is None else acc + pg
+                    if type(pg) is RowGrad:
+                        if acc is None:
+                            acc = np.zeros(parent.shape)
+                        elif (parent not in owned
+                              or type(acc) is not np.ndarray):
+                            acc = np.array(acc)  # 0-d sums are scalars
+                        acc[pg.idx] += pg.g
+                    elif acc is None:
+                        grads[parent] = pg
+                        continue
+                    elif parent in owned:
+                        acc += pg
+                    else:
+                        acc = acc + pg
+                    grads[parent] = acc
+                    own(parent)
 
     # -- operators --------------------------------------------------------
 
@@ -336,14 +369,11 @@ def getitem(a, idx) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        out = np.zeros_like(a.data)
         if _is_basic(idx) or (isinstance(idx, tuple)
                               and all(map(_is_basic, idx))):
-            # a basic index selects each element at most once, so adding
-            # into the view equals np.add.at bit for bit
-            out[idx] += g
-        else:
-            np.add.at(out, idx, g)
+            return (RowGrad(idx, g),)
+        out = np.zeros_like(a.data)
+        np.add.at(out, idx, g)
         return (out,)
 
     return _make(data, (a,), backward)
@@ -390,7 +420,7 @@ def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
 
 def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
     a = _as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
+    n = a.data.size if axis is None else int(np.prod(np.take(a.shape, axis)))
     return mul(reduce_sum(a, axis, keepdims), 1.0 / n)
 
 
@@ -732,18 +762,29 @@ class Adam:
         self._v = {n: np.zeros(p.shape) for n, p in store.params.items()}
 
     def step(self):
+        """p.data - lr * m_hat / (sqrt(v_hat) + eps) with m and v updated
+        in place: the out-of-place formula's operations in its order, so
+        its bits.  p.data is rebound to a new array, never written."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p in self.store.params.items():
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
-            if p.grad.shape != p.data.shape:
+            if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape mismatch for {name}")
-            m = self._m[name] = b1 * self._m[name] + (1 - b1) * p.grad
-            v = self._v[name] = b2 * self._v[name] + (1 - b2) * p.grad ** 2
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self._m[name], self._v[name]
+            s = (1 - b1) * g  # one scratch array
+            m *= b1
+            m += s
+            np.multiply(np.square(g, out=s), 1 - b2, out=s)
+            v *= b2
+            v += s
+            np.sqrt(np.divide(v, 1 - b2 ** self.t, out=s), out=s)
+            s += self.eps
+            step = m / (1 - b1 ** self.t)
+            step *= self.lr
+            p.data = p.data - np.divide(step, s, out=step)
 
 
 # -- verification ----------------------------------------------------------

@@ -92,6 +92,17 @@ class TestPrimitiveGradients:
                             [a, b])
         assert err < 1e-6
 
+    def test_mean_over_an_axis_tuple(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = rng.normal(size=(1, 3, 1))
+        np.testing.assert_allclose(ad.reduce_mean(x, axis=(0, 1)).data,
+                                   x.data.mean(axis=(0, 1)))
+        err = ad.grad_check(
+            lambda ts: (ts[0].mean(axis=(0, -1), keepdims=True) * w).sum(),
+            [x])
+        assert err < 1e-6
+
     def test_embedding_lookup(self, seed):
         rng = np.random.default_rng(seed)
         table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
@@ -323,8 +334,10 @@ class TestFusedExactness:
 
 
 def reference_backward(loss):
-    """The walk `Tensor.backward` used when it keyed on id(): DFS
-    post-order from the loss, gradients summed in reverse of it."""
+    """The walk `Tensor.backward` used when it keyed on id() and summed out
+    of place: DFS post-order from the loss, gradients summed in reverse of
+    it, a `RowGrad` taken as the dense buffer it stands for (zeros, then
+    the rows added in)."""
     topo, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, processed = stack.pop()
@@ -349,6 +362,10 @@ def reference_backward(loss):
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None:
                     continue
+                if isinstance(pg, ad.RowGrad):
+                    dense = np.zeros(parent.shape)
+                    dense[pg.idx] += pg.g
+                    pg = dense
                 key = id(parent)
                 grads[key] = grads[key] + pg if key in grads else pg
 
@@ -378,10 +395,50 @@ class TestBackwardPlumbing:
         out = ad.getitem(a, idx)
         g = rng.normal(size=out.shape)
         g.flat[0] = -0.0
-        (got,) = out._backward(g)
+        out.backward(g)
         expect = np.zeros_like(a.data)
         np.add.at(expect, idx, g)
-        assert got.tobytes() == expect.tobytes()
+        assert a.grad.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("size", [4, 1])
+    def test_backward_rejects_a_gradient_of_another_shape(self, size):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        with pytest.raises(ad.ShapeError, match=rf"\({size},\).*\(3,\)"):
+            ad.mul(x, 2.0).backward(np.ones(size))
+        assert x.grad is None
+
+    def test_walk_never_writes_an_array_a_closure_returned(self):
+        # `add` hands one array to both parents; each parent then gets a
+        # second gradient, from mul(u, w), which the walk must not add
+        # into that array in place
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=3), requires_grad=True)
+        y = Tensor(rng.normal(size=3), requires_grad=True)
+        u, w = ad.mul(x, 1.5), ad.mul(y, -0.5)
+        s = ad.add(u, w)
+        handed = []
+        closure = s._backward
+
+        def spy(g):
+            out = closure(g)
+            handed.extend((a, a.tobytes()) for a in out)
+            return out
+
+        s._backward = spy
+        ad.reduce_sum(ad.add(s, ad.mul(u, w))).backward()
+        assert len(handed) == 2 and handed[0][0] is handed[1][0]
+        for array, before in handed:
+            assert array.tobytes() == before
+        np.testing.assert_allclose(x.grad, 1.5 * (1.0 + w.data))
+        np.testing.assert_allclose(y.grad, -0.5 * (1.0 + u.data))
+
+    def test_row_gradient_into_a_scalar_sum(self):
+        # the walk's own sum of two 0-d gradients is a numpy scalar,
+        # which cannot take rows in place
+        x = Tensor(2.0, requires_grad=True)
+        y = ad.mul(x, 3.0)
+        ad.add(ad.add(y, y), ad.getitem(y, ())).backward()
+        assert x.grad == 9.0
 
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_stack_backward_matches_split(self, axis):
@@ -671,6 +728,29 @@ class TestOptimizer:
             opt.step()
         final = ((w.data - target) ** 2).sum()
         assert final < 1e-3
+
+    def test_steps_match_the_out_of_place_formula_bitwise(self):
+        rng = np.random.default_rng(7)
+        store = ad.ParamStore(0)
+        w = store.add("w", (4, 3))
+        opt = ad.Adam(store, lr=0.01)
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        data, m, v = w.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        for t in (1, 2, 3):
+            g = rng.normal(size=(4, 3))
+            g[0, 0] = -0.0
+            w.grad = g.copy()
+            old, old_bytes = w.data, w.data.tobytes()
+            opt.step()
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g ** 2
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            data = data - 0.01 * m_hat / (np.sqrt(v_hat) + eps)
+            assert w.data.tobytes() == data.tobytes()
+            # the old array is rebound, not written; the gradient is read
+            assert w.data is not old and old.tobytes() == old_bytes
+            assert w.grad.tobytes() == g.tobytes()
 
     def test_shape_mismatch_raises(self):
         store = ad.ParamStore(0)

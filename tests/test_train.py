@@ -387,6 +387,24 @@ def test_backward_matches_reference_walk_bitwise(row, batch):
     assert grads[0] == grads[1]
 
 
+@pytest.mark.parametrize("row", [name for name, _ in tr.ABLATION_ROWS])
+@pytest.mark.parametrize("batch", [[0, 1], [0, 0, 1]])
+def test_parameter_gradients_share_no_memory(row, batch):
+    # `_clip_gradients` scales each t.grad in place: two gradients on one
+    # buffer would be scaled twice
+    cfg = tiny_config(**dict(tr.ABLATION_ROWS)[row])
+    train_pack, _, _ = packs_for(cfg)
+    store = init_params(cfg)
+    _, total = forward_losses(train_pack, batch, store, cfg,
+                              np.random.default_rng(0))
+    total.backward()
+    grads = [t.grad for t in store.params.values() if t.grad is not None]
+    assert grads
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 @pytest.mark.parametrize("row", ["full", "aggregator_triplet"])
 @pytest.mark.parametrize("batch", [[0, 1], [0, 0, 1]])
 def test_fused_ops_keep_gradients_bitwise(monkeypatch, row, batch):
