@@ -6,11 +6,12 @@ concatenated into the answer head, and edge representations feed a
 same-operator/other-operator triplet loss.
 
 The graphs are small (about 7 nodes), so per-op tape nodes would cost more
-than their arithmetic.  Each GAT layer (`gat_layer`), edge projection
-(`ad.concat_linear`), the node CE mean (`ad.softmax_cross_entropy_batch`)
-and the triplet mean (`ad.triplet_hinge_mean`) is therefore one tape node
-that repeats its op chain's numpy work in the same order (the fusion rule
-of `autodiff`), and gives the same bits as the chain.
+than their arithmetic.  Each GAT layer (`gat_layer`), the node CE mean
+(`ad.softmax_cross_entropy_batch`) and a batch's edge projections with
+their triplet mean (`ad.edge_triplet_mean`, over the rows of one
+node-logits matrix) is therefore one tape node that repeats its op
+chain's numpy work in the same order (the fusion rule of `autodiff`), and
+gives the same bits as the chain.
 """
 
 from __future__ import annotations
@@ -35,13 +36,21 @@ def init_aggregator_params(store: ParamStore, h: int, layers: int,
     store.linear("ag.edge", 2 * vocab_size, h)
 
 
-def neighbor_mask(g: QDG) -> np.ndarray:
-    """mask[i, j] = 1 where node i may attend node j, in `g.nodes` order:
-    its children and itself (self-loop keeps childless nodes alive)."""
+def edge_rows(g: QDG) -> np.ndarray:
+    """[E, 2] int array: each edge's (parent, child) position in
+    `g.nodes`, in `g.edges` order."""
     pos = {node.id: i for i, node in enumerate(g.nodes)}
-    mask = np.eye(len(pos))
-    for e in g.edges:
-        mask[pos[e.parent], pos[e.child]] = 1.0
+    return np.array([(pos[e.parent], pos[e.child]) for e in g.edges],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def neighbor_mask(g: QDG, ends=None) -> np.ndarray:
+    """mask[i, j] = 1 where node i may attend node j, in `g.nodes` order:
+    its children and itself (self-loop keeps childless nodes alive).
+    `ends` is `edge_rows(g)` when the caller has it."""
+    ends = edge_rows(g) if ends is None else ends
+    mask = np.eye(len(g.nodes))
+    mask[ends[:, 0], ends[:, 1]] = 1.0
     return mask
 
 
@@ -145,44 +154,85 @@ def predict_answers(layer_outputs: list, store: ParamStore) -> Tensor:
     return ad.linear(stacked, *store.layer("ag.head"))
 
 
-def edge_representations(graphs_and_features, store: ParamStore):
-    """Edge vectors W_e [f^a_parent || f^a_child] + b_e over a batch.
+class EdgeRows:
+    """A batch's edge vectors W_e [f^a_parent || f^a_child] + b_e, held as
+    rows of one node-logits matrix: edge k, of type ops[k], joins rows
+    ends[k] = (parent, child) of `logits`.  It is sized and iterates as
+    (op, ends row) pairs; `edge_triplet_loss` projects the edges inside
+    its one tape node."""
 
-    graphs_and_features: iterable of (QDG, map node id -> f^a Tensor).
-    Returns a list of (edge_type, vector Tensor).
-    """
-    w, b = store.layer("ag.edge")
-    return [(e.op, ad.concat_linear([feats[e.parent], feats[e.child]], w,
-                                    b))
-            for g, feats in graphs_and_features for e in g.edges]
+    def __init__(self, ops: list, ends: np.ndarray, logits: Tensor,
+                 store: ParamStore):
+        self.ops, self.ends, self.logits = ops, ends, logits
+        self.w, self.b = store.layer("ag.edge")
+
+    def __len__(self):
+        return len(self.ops)
+
+    def __iter__(self):
+        return zip(self.ops, self.ends)
+
+
+def edge_representations(node_logits: Tensor, graph_ends,
+                         store: ParamStore) -> EdgeRows:
+    """The edges of a batch of graphs over the rows of node_logits
+    [N, vocab], the head features f^a.
+
+    graph_ends: iterable of (QDG, [E_g, 2] int array of its edges'
+    (parent, child) rows of node_logits, in `g.edges` order)."""
+    ops, ends = [], [np.empty((0, 2), dtype=np.int64)]
+    for g, rows in graph_ends:
+        ops.extend(e.op for e in g.edges)
+        ends.append(rows)
+    return EdgeRows(ops, np.concatenate(ends), node_logits, store)
+
+
+def _sample_triples(ops: list, rng) -> np.ndarray:
+    """[T, 3] (anchor, positive, negative) edge indices.  Each edge, in
+    order, that has another edge of its type and an edge of another type
+    draws a uniform other edge of its type, then a uniform edge of
+    another type.  All draws come from one `rng.integers` call over their
+    bounds, which draws what one call per bound in that order would."""
+    by_type: dict[str, list[int]] = {}
+    for i, op in enumerate(ops):
+        by_type.setdefault(op, []).append(i)
+    # per type: (its edges, in index order; the edges of every other type)
+    pools = {t: (same, [j for u, idxs in by_type.items() if u != t
+                        for j in idxs])
+             for t, same in by_type.items()}
+    anchors = [i for i, op in enumerate(ops)
+               if len(pools[op][0]) > 1 and pools[op][1]]
+    if not anchors:
+        return np.empty((0, 3), dtype=np.int64)
+    draws = rng.integers([(len(pools[ops[i]][0]) - 1, len(pools[ops[i]][1]))
+                          for i in anchors]).tolist()
+    triples = []
+    for i, (k, j) in zip(anchors, draws):
+        same, other = pools[ops[i]]
+        # the k-th edge of `same` other than edge i (`same` is ascending)
+        triples.append((i, same[k] if same[k] < i else same[k + 1],
+                        other[j]))
+    return np.array(triples, dtype=np.int64)
 
 
 def edge_triplet_loss(edge_reprs, margin: float, rng) -> Tensor:
     """Hinge loss pulling same-type edges together, pushing other types a
     margin apart.  One sampled positive and negative per edge; edges with
-    no valid candidate contribute zero."""
-    if not edge_reprs:
+    no valid candidate contribute zero.
+
+    edge_reprs: an `EdgeRows`, whose projections and hinge mean are one
+    `ad.edge_triplet_mean` node, or (edge type, vector Tensor) pairs."""
+    triples = _sample_triples([op for op, _ in edge_reprs], rng)
+    if not len(triples):
         return Tensor(0.0)
-    by_type: dict[str, list[int]] = {}
-    for i, (etype, _) in enumerate(edge_reprs):
-        by_type.setdefault(etype, []).append(i)
-    # per type: (its edges, in index order; the edges of every other type)
-    pools = {t: (same, [j for u, idxs in by_type.items() if u != t
-                        for j in idxs])
-             for t, same in by_type.items()}
-    triples = []
-    for i, (etype, vec) in enumerate(edge_reprs):
-        same, other = pools[etype]
-        if len(same) < 2 or not other:
-            continue
-        # the k-th edge of `same` other than edge i (`same` is ascending)
-        k = int(rng.integers(len(same) - 1))
-        pos = edge_reprs[same[k] if same[k] < i else same[k + 1]][1]
-        neg = edge_reprs[other[int(rng.integers(len(other)))]][1]
-        triples.append((vec, pos, neg))
-    if not triples:
-        return Tensor(0.0)
-    return ad.triplet_hinge_mean(triples, margin, len(edge_reprs))
+    if isinstance(edge_reprs, EdgeRows):
+        return ad.edge_triplet_mean(edge_reprs.logits, edge_reprs.ends,
+                                    edge_reprs.w, edge_reprs.b, triples,
+                                    margin)
+    vecs = [v for _, v in edge_reprs]
+    return ad.triplet_hinge_mean(
+        [tuple(vecs[i] for i in t) for t in triples.tolist()], margin,
+        len(vecs))
 
 
 def aggregation_loss(node_logits: Tensor, targets,

@@ -22,8 +22,12 @@ same order, and lists its parents in the order the chain's nodes reach
 them (a parent the chain reaches twice is listed twice); the walk then
 adds every gradient in the chain's order, and values and gradients match
 bit for bit.  The fused nodes here are `linear`, `concat_linear`,
-`softmax_cross_entropy`, `softmax_cross_entropy_batch` and
-`triplet_hinge_mean`; `aggregator.gat_layer` is one more.
+`softmax_cross_entropy`, `softmax_cross_entropy_batch`,
+`triplet_hinge_mean` and `edge_triplet_mean` (a batch's edge
+projections and their triplet hinge mean); `aggregator.gat_layer` is one
+more.  `edge_triplet_mean` sums its edges' shares of its parents'
+gradients itself, in the order the chain's walk adds them, so it lists
+each parent once.
 """
 
 from __future__ import annotations
@@ -513,9 +517,31 @@ def euclidean_distance(a, b, eps=1e-12) -> Tensor:
 
     def backward(g):
         ga = g * diff / data
-        return (ga, -ga)
+        return _unbroadcast(ga, a.shape), _unbroadcast(-ga, b.shape)
 
     return _make(data, (a, b), backward)
+
+
+def _triplet_hinge(anchors, positives, negatives, margin: float,
+                   count: int):
+    """The value of the hinge mean over the rows of [T, d] arrays, and a
+    function from its gradient g to the [T, d] anchor gradients of the
+    positive and of the negative distance: the arithmetic of
+    `triplet_hinge_mean`."""
+    diff1 = anchors - positives
+    d1 = np.sqrt((diff1 ** 2).sum(axis=-1) + 1e-12)
+    diff2 = anchors - negatives
+    d2 = np.sqrt((diff2 ** 2).sum(axis=-1) + 1e-12)
+    gap = d1 + d2 * -1.0 + margin
+    mask = gap > 0
+    scale = 1.0 / count
+
+    def grads(g):
+        g = (g * scale) * mask
+        return (g[:, None] * diff1 / d1[:, None],
+                g[:, None] * -1.0 * diff2 / d2[:, None])
+
+    return (gap * mask).sum() * scale, grads
 
 
 def triplet_hinge_mean(triples, margin: float, count: int) -> Tensor:
@@ -531,26 +557,72 @@ def triplet_hinge_mean(triples, margin: float, count: int) -> Tensor:
     of a vector's entries."""
     triples = [tuple(map(_as_tensor, t)) for t in triples]
     shape = triples[0][0].shape
-    anchors, positives, negatives = (
+    value, grads = _triplet_hinge(*(
         np.stack([t[k].data for t in triples]).reshape(len(triples), -1)
-        for k in range(3))
-    diff1 = anchors - positives
-    d1 = np.sqrt((diff1 ** 2).sum(axis=-1) + 1e-12)
-    diff2 = anchors - negatives
-    d2 = np.sqrt((diff2 ** 2).sum(axis=-1) + 1e-12)
-    gap = d1 + d2 * -1.0 + margin
-    mask = gap > 0
-    scale = 1.0 / count
+        for k in range(3)), margin, count)
 
     def backward(g):
-        g = (g * scale) * mask
-        ga1 = (g[:, None] * diff1 / d1[:, None]).reshape((-1,) + shape)
-        ga2 = (g[:, None] * -1.0 * diff2 / d2[:, None]).reshape(
-            (-1,) + shape)
+        ga1, ga2 = (x.reshape((-1,) + shape) for x in grads(g))
         return [x for row in zip(ga1, -ga1, ga2, -ga2) for x in row]
 
     parents = [t for a, pos, neg in triples for t in (a, pos, a, neg)]
-    return _make((gap * mask).sum() * scale, parents, backward)
+    return _make(value, parents, backward)
+
+
+def edge_triplet_mean(x, ends, w, b, triples, margin: float) -> Tensor:
+    """`triplet_hinge_mean` over edge vectors, as one tape node with
+    parents (x, w, b).
+
+    Edge k's vector is concat_linear([x[p], x[c]], w, b) for (p, c) =
+    ends[k] ([E, 2] rows of the [N, d] x); triples is [T, 3] (anchor,
+    positive, negative) edge indices, and the mean divides by E.
+
+    Bit for bit equal in value and gradients to that chain, with one
+    `getitem(x, i)` per row read, where w and b feed nothing else and
+    this is the first gradient x gets.  The chain's walk reaches the edge
+    projections in the order of their last place in the hinge mean's
+    parents (a, pos, a, neg per triple); so each edge vector sums its
+    gradients in parent order, and the rows of x and w and b sum the
+    edges' shares in that edge order.  An edge in no triple gets no
+    gradient."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    xd = x.data[ends].reshape(len(ends), -1)  # [E, 2d]: x[p] || x[c]
+    # one [1, 2d] @ [2d, h] product per edge: the bits of concat_linear's
+    # 1-d product, which one [E, 2d] gemm does not give
+    vecs = (xd[:, None, :] @ w.data)[:, 0]
+    vecs += b.data
+    value, grads = _triplet_hinge(vecs[triples[:, 0]], vecs[triples[:, 1]],
+                                  vecs[triples[:, 2]], margin, len(ends))
+    reads = triples[:, [0, 1, 0, 2]].ravel()  # the hinge mean's parents
+    last = np.full(len(ends), -1)
+    np.maximum.at(last, reads, np.arange(len(reads)))
+    used = np.flatnonzero(last >= 0)
+    order = used[np.argsort(last[used])]  # the chain's walk of the edges
+
+    def backward(g):
+        ga1, ga2 = grads(g)
+        # -0.0 + y is y, zero signs included: a first addend keeps its bits
+        g_vecs = np.full(vecs.shape, -0.0)
+        np.add.at(g_vecs, reads, np.stack([ga1, -ga1, ga2, -ga2],
+                                          axis=1).reshape(len(reads), -1))
+        g_vecs = g_vecs[order]
+        g_x = g_w = g_b = None
+        if _needs_grad(x):
+            # per edge (g[None, :] * w).sum(-1): concat_linear's gradient
+            g_rows = (g_vecs[:, None, :] * w.data).sum(axis=-1)
+            g_x = np.zeros(x.shape)
+            np.add.at(g_x, ends[order].ravel(),
+                      g_rows.reshape(2 * len(order), -1))
+        if _needs_grad(w):
+            g_w = np.cumsum(xd[order][:, :, None] * g_vecs[:, None, :],
+                            axis=0)[-1]
+        if _needs_grad(b):
+            g_b = np.cumsum(g_vecs, axis=0)[-1]
+        return g_x, g_w, g_b
+
+    return _make(value, (x, w, b), backward)
 
 
 def embedding_lookup(table, indices) -> Tensor:

@@ -153,6 +153,13 @@ class PackedSplit:
     # (id) order and start where the previous cluster's ended, so row i is
     # the i-th node of the graphs taken in order
     clusters: list
+    # per cluster: its `aggregator.edge_rows` [E, 2] and its neighbour
+    # mask [n, n], a view into `groups`
+    edges: list
+    masks: list
+    # per cluster size n: (the rows [B, n] of its B clusters in pack
+    # order, their masks [B, n, n])
+    groups: list
 
     @property
     def n_nodes(self) -> int:
@@ -161,18 +168,31 @@ class PackedSplit:
 
 def pack_split(split, vocab_index: dict) -> PackedSplit:
     """A generated split's arrays as they are, with the gold answers and
-    each cluster's rows read off its graphs."""
+    each cluster's rows, edges and neighbour mask read off its graphs."""
     clusters, start = [], 0
     for g in split.graphs:
         clusters.append((g, range(start, start + len(g.nodes))))
         start += len(g.nodes)
+    edges = [aggregator.edge_rows(g) for g in split.graphs]
+    by_size: dict[int, list] = {}
+    for c, (g, rows) in enumerate(clusters):
+        by_size.setdefault(len(rows), []).append(c)
+    masks, groups = [None] * len(clusters), []
+    for ids in by_size.values():
+        stacked = np.stack([aggregator.neighbor_mask(split.graphs[c],
+                                                     edges[c])
+                            for c in ids])
+        groups.append((np.array([clusters[c][1] for c in ids]), stacked))
+        for c, mask in zip(ids, stacked):
+            masks[c] = mask
     return PackedSplit(
         graphs=split.graphs, f_o=split.f_o, f_a=split.f_a, f_m=split.f_m,
         f_q=split.q,
         gold=np.array([vocab_index[node.gold_answer]
                        for g in split.graphs for node in g.nodes],
                       dtype=np.int64),
-        planted=split.planted, clusters=clusters,
+        planted=split.planted, clusters=clusters, edges=edges, masks=masks,
+        groups=groups,
     )
 
 
@@ -221,9 +241,10 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
-def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
+def _forward(pack: PackedSplit, rows, cluster_ids, store: ParamStore,
              config: RunConfig, noise=None):
-    """The model on pack rows `rows`, the nodes of `clusters` in order.
+    """The model on pack rows `rows`, the nodes of clusters `cluster_ids`
+    in order.
 
     `noise` ([len(rows), n_c, 2]) is the aligner's Gumbel noise; only the
     aligner reads it.  Returns (head logits [len(rows), vocab], the
@@ -234,16 +255,16 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     workers (numpy drops the GIL in their loops) and are joined in block
     order, so the bits do not depend on WORKERS.
 
-    The aggregator runs once per cluster, and its logits are one node id
-    -> Tensor map per cluster, when a parameter of `store` requires grad.
-    Otherwise (a `store.frozen()` view) it runs once per cluster size on
-    the stacked clusters of that size, and its logits are one
-    [len(rows), vocab] array in row order; both give the same bits.
-    Training reads `joint` with one `getitem` per node, at a row that
-    `_cluster_logits` numbers by distinct node id.  So a batch that holds
-    a cluster twice reads wrong rows: every node of both copies reads one
-    row, and every later cluster reads rows shifted back by the repeated
-    cluster's size.
+    The aggregator runs once per cluster, and its logits are one [n,
+    vocab] Tensor per cluster, in batch order, when a parameter of
+    `store` requires grad.  Otherwise (a `store.frozen()` view, which
+    must be given every cluster of the pack in order) it runs once per
+    cluster size on the pack's stacked clusters of that size, and its
+    logits are one [len(rows), vocab] array in row order; both give the
+    same bits.  Training reads `joint` at rows that `_cluster_logits`
+    numbers by distinct node id.  So a batch that holds a cluster twice
+    reads wrong rows: every node of both copies reads one row, and every
+    later cluster reads rows shifted back by the repeated cluster's size.
     """
     f_q = Tensor(pack.f_q[rows])
     if config.use_aligner:
@@ -295,48 +316,49 @@ def _forward(pack: PackedSplit, rows, clusters, store: ParamStore,
     agg = None
     if config.use_aggregator:
         if any(t.requires_grad for t in store.params.values()):
-            agg = _cluster_logits(joint, clusters, store, config.layers)
+            agg = _cluster_logits(joint, pack, cluster_ids, store,
+                                  config.layers)
         else:
-            agg = _grouped_logits(joint, clusters, store, config.layers)
+            agg = _grouped_logits(joint, pack, store, config.layers)
     return head, agg, aligned
 
 
-def _cluster_logits(joint: Tensor, clusters, store: ParamStore,
-                    layers: int) -> list:
-    """One aggregator pass per cluster on one `getitem` row per node;
-    returns one {node id: logits row Tensor} map per cluster."""
+def _cluster_logits(joint: Tensor, pack: PackedSplit, cluster_ids,
+                    store: ParamStore, layers: int) -> list:
+    """One aggregator pass per cluster of the batch; returns the clusters'
+    head logits [n, vocab] in batch order.
+
+    A cluster reads `joint` at the rows its nodes get from one running
+    number per distinct node id, with one slice `getitem` where they are
+    consecutive.  A cluster the batch holds twice gets one row for all
+    its nodes; it reads it with one `getitem` per node, so the walk adds
+    their gradients into that row one by one, in node order."""
     local = {}
-    for g, _ in clusters:
-        for node in g.nodes:
+    for c in cluster_ids:
+        for node in pack.graphs[c].nodes:
             local[node.id] = len(local)
-    maps = []
-    for g, _ in clusters:
-        feats = ad.stack([ad.getitem(joint, local[node.id])
-                          for node in g.nodes])
-        outputs, _ = aggregator.gat_forward(
-            feats, aggregator.neighbor_mask(g), store, layers)
-        head = aggregator.predict_answers(outputs, store)
-        maps.append({node.id: ad.getitem(head, i)
-                     for i, node in enumerate(g.nodes)})
-    return maps
+    heads = []
+    for c in cluster_ids:
+        at = [local[node.id] for node in pack.graphs[c].nodes]
+        if at == list(range(at[0], at[0] + len(at))):
+            feats = ad.getitem(joint, slice(at[0], at[0] + len(at)))
+        else:
+            feats = ad.stack([ad.getitem(joint, i) for i in at])
+        outputs, _ = aggregator.gat_forward(feats, pack.masks[c], store,
+                                            layers)
+        heads.append(aggregator.predict_answers(outputs, store))
+    return heads
 
 
-def _grouped_logits(joint: Tensor, clusters, store: ParamStore,
+def _grouped_logits(joint: Tensor, pack: PackedSplit, store: ParamStore,
                     layers: int) -> np.ndarray:
-    """One aggregator pass per cluster size over the stacked clusters of
-    that size; returns the logits [len(joint), vocab] in joint's rows."""
-    groups: dict[int, tuple[list, list]] = {}
-    start = 0
-    for g, rows in clusters:
-        idx, masks = groups.setdefault(len(rows), ([], []))
-        idx.append(range(start, start + len(rows)))
-        masks.append(aggregator.neighbor_mask(g))
-        start += len(rows)
-    logits = np.empty((start, store["ag.head.b"].shape[0]))
-    for idx, masks in groups.values():
-        idx = np.asarray(idx)  # [B, n]
+    """One aggregator pass per cluster size over the pack's stacked
+    clusters of that size; returns the logits [len(joint), vocab] in
+    joint's rows, which are the pack's."""
+    logits = np.empty((len(joint.data), store["ag.head.b"].shape[0]))
+    for idx, masks in pack.groups:
         outputs, _ = aggregator.gat_forward(
-            ad.getitem(joint, idx), np.stack(masks), store, layers)
+            ad.getitem(joint, idx), masks, store, layers)
         logits[idx] = aggregator.predict_answers(outputs, store).data
     return logits
 
@@ -351,28 +373,30 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
     Terms that are gated off are never computed and never consume
     randomness, so a reduced model is reproduced bit-identically.
     """
-    batch = [pack.clusters[i] for i in cluster_ids]
-    rows = np.concatenate([np.arange(r.start, r.stop) for _, r in batch])
+    rows = np.concatenate([np.arange(r.start, r.stop) for _, r in
+                           (pack.clusters[c] for c in cluster_ids)])
     if config.use_aligner and noise is None:
         noise = ad.gumbel_noise(rng, (len(rows), pack.planted.shape[1], 2))
-    head, maps, aligned = _forward(pack, rows, batch, store, config, noise)
+    head, heads, aligned = _forward(pack, rows, cluster_ids, store, config,
+                                    noise)
     terms = {}
     if aligned is not None and config.use_contrastive:
         terms["contrastive"] = aligner.anchor_contrastive(*aligned, store)
     terms["answer_ce"] = ad.softmax_cross_entropy_batch(head, pack.gold[rows])
-    if maps is not None:
-        graph_logits = [(g, lm) for (g, _), lm in zip(batch, maps)]
+    if heads is not None:
+        # the batch's nodes in batch-cluster order, id-sorted: `rows` order
+        logits = ad.concat(heads, axis=0)
         if config.use_triplet:
-            reprs = aggregator.edge_representations(graph_logits, store)
+            starts = np.cumsum([0] + [len(h.data) for h in heads])
+            reprs = aggregator.edge_representations(
+                logits, [(pack.graphs[c], pack.edges[c] + start)
+                         for c, start in zip(cluster_ids, starts)], store)
             triplet = aggregator.edge_triplet_loss(reprs, config.margin,
                                                    rng)
         else:
             triplet = Tensor(0.0)
-        # nodes in batch-cluster order, id-sorted: the order of `rows`
         terms["aggregation"] = aggregator.aggregation_loss(
-            ad.stack([lm[node.id] for g, lm in graph_logits
-                      for node in g.nodes]),
-            pack.gold[rows], triplet)
+            logits, pack.gold[rows], triplet)
 
     total = ad.mul(terms["answer_ce"], config.alignment_weight)
     if "contrastive" in terms:
@@ -394,7 +418,8 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
     """
     _check_dims(store, config)
     head, agg, aligned = _forward(
-        pack, np.arange(pack.n_nodes), pack.clusters, store.frozen(), config,
+        pack, np.arange(pack.n_nodes), range(len(pack.clusters)),
+        store.frozen(), config,
         noise=np.zeros(pack.planted.shape + (2,)))
     answers = np.argmax(head.data if agg is None else agg, axis=-1)
     vocab = config.synthetic.vocab

@@ -213,26 +213,25 @@ def check_gat_stacked(seed: int) -> float:
                                   rng))
 
 
-def check_edge_projection(seed: int) -> float:
-    """edge_representations: one concat_linear per edge, over head rows
-    that several edges share."""
+def check_edge_triplet(seed: int) -> float:
+    """edge_representations and edge_triplet_loss on a batch of two
+    graphs: one edge_triplet_mean node projecting the edges from head
+    rows that several edges share, and the hinge mean of its triples."""
     rng = np.random.default_rng([seed, 13])
     vocab, h = 5, 4
     store = ParamStore(seed=seed)
     aggregator.init_aggregator_params(store, h, 1, vocab)
     g = _toy_graph()
-    feats = [Tensor(rng.normal(size=vocab), requires_grad=True)
-             for _ in range(3)]
-    w = rng.normal(size=(len(g.edges), h))
+    graph_ends = [(g, aggregator.edge_rows(g) + start) for start in (0, 3)]
+    rows = Tensor(rng.normal(size=(6, vocab)), requires_grad=True)
 
     def fn(inputs):
-        reprs = aggregator.edge_representations(
-            [(g, dict(zip(("a", "b", "c"), inputs[:3])))], store)
-        return ad.reduce_sum(ad.stack(
-            [ad.reduce_sum(ad.mul(v, Tensor(r)))
-             for (_, v), r in zip(reprs, w)]))
+        reprs = aggregator.edge_representations(inputs[0], graph_ends,
+                                                store)
+        return aggregator.edge_triplet_loss(
+            reprs, margin=2.0, rng=np.random.default_rng([seed, 6]))
 
-    return ad.grad_check(fn, feats + list(store.layer("ag.edge")))
+    return ad.grad_check(fn, [rows, *store.layer("ag.edge")])
 
 
 def check_ce_mean(seed: int) -> float:
@@ -361,7 +360,7 @@ SUITES = {
                 ("contrastive", check_contrastive)),
     "aggregator": (("gat_head", check_gat_head),
                    ("gat_stacked", check_gat_stacked),
-                   ("edge_projection", check_edge_projection),
+                   ("edge_triplet", check_edge_triplet),
                    ("ce_mean", check_ce_mean),
                    ("triplet", check_triplet)),
     "train": (("total_losses", check_total_losses),),

@@ -4,7 +4,7 @@ import pytest
 from qdqa import aggregator, autodiff as ad, qdg
 from qdqa.autodiff import ParamStore, Tensor
 
-from test_autodiff import (chain_ce_batch, chain_concat_linear,
+from test_autodiff import (chain_ce_batch, chain_edge_triplet_mean,
                            chain_triplet_mean)
 from test_qdg import make_doc, node, random_dag
 
@@ -89,9 +89,9 @@ def chain_gat_layer(feats, mask, store, prefix):
 def use_op_chains(monkeypatch):
     """Swap every fused aggregator node for the op chain it replaces."""
     monkeypatch.setattr(aggregator, "gat_layer", chain_gat_layer)
-    monkeypatch.setattr(ad, "concat_linear", chain_concat_linear)
     monkeypatch.setattr(ad, "softmax_cross_entropy_batch", chain_ce_batch)
     monkeypatch.setattr(ad, "triplet_hinge_mean", chain_triplet_mean)
+    monkeypatch.setattr(ad, "edge_triplet_mean", chain_edge_triplet_mean)
 
 
 class TestFusedGatLayer:
@@ -148,28 +148,30 @@ class TestFusedGatLayer:
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_edge_projection(self, monkeypatch, seed):
-        """Edge vectors over shared head rows of two graphs."""
+        """Edge vectors over shared head rows of two graphs, read out by
+        the triplet mean over random triples of them."""
         graphs = [random_dag(seed * 10 + i, 6) for i in range(2)]
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(sum(len(g.nodes) for g in graphs), VOCAB))
-        readout = rng.normal(size=H)
+        starts = np.cumsum([0] + [len(g.nodes) for g in graphs])
+        n_edges = sum(len(g.edges) for g in graphs)
+        triples = rng.integers(n_edges, size=(n_edges, 3))
 
         def run():
             store = make_store(seed=seed)
             rows = Tensor(base.copy(), requires_grad=True)
-            ids = [(g, n.id) for g in graphs for n in g.nodes]
-            feats = [(g, {nid: rows[i] for i, (owner, nid) in enumerate(ids)
-                          if owner is g}) for g in graphs]
-            reprs = aggregator.edge_representations(feats, store)
-            total = ad.reduce_sum(ad.stack(
-                [ad.reduce_sum(ad.mul(v, readout)) for _, v in reprs]))
+            reprs = aggregator.edge_representations(
+                rows, [(g, aggregator.edge_rows(g) + start)
+                       for g, start in zip(graphs, starts)], store)
+            total = ad.edge_triplet_mean(reprs.logits, reprs.ends, reprs.w,
+                                         reprs.b, triples, 2.0)
             total.backward()
-            return ([v.data.tobytes() for _, v in reprs]
+            return ([total.data.tobytes()]
                     + [rows.grad.tobytes(), store["ag.edge.w"].grad.tobytes(),
                        store["ag.edge.b"].grad.tobytes()])
 
         fused = run()
-        monkeypatch.setattr(ad, "concat_linear", chain_concat_linear)
+        monkeypatch.setattr(ad, "edge_triplet_mean", chain_edge_triplet_mean)
         assert run() == fused
 
 
@@ -419,6 +421,18 @@ class TestEdgeTripletLoss:
         assert run(lambda reprs: aggregator.edge_triplet_loss(
             reprs, 0.8, np.random.default_rng(5))) == run(chain_loss)
 
+    def test_one_integers_call_equals_one_call_per_bound(self):
+        """A generator fills an array of bounded draws in order, so the
+        sampler's one `rng.integers(highs)` call, highs of 1 included
+        (which draw nothing), is the stream of one call per high."""
+        highs = np.random.default_rng(8).integers(1, 5, size=(40, 2))
+        highs[::3, 0] = 1
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        one = rng.integers(highs)
+        each = [twin.integers(int(h)) for h in highs.ravel()]
+        assert one.ravel().tolist() == each
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     @pytest.mark.parametrize("seed", [14, 15, 16])
     def test_gradient(self, seed):
         rng_data = np.random.default_rng(seed)
@@ -478,7 +492,10 @@ class TestAggregationLoss:
             order, outs, _ = on_graph(feats, g, store, K)
             logits = aggregator.predict_answers(outs, store)
             head_feats = {nid: logits[i] for i, nid in enumerate(order)}
-            reprs = aggregator.edge_representations([(g, head_feats)], store)
+            ends = np.array([[order.index(e.parent), order.index(e.child)]
+                             for e in g.edges])
+            reprs = aggregator.edge_representations(logits, [(g, ends)],
+                                                    store)
             triplet = aggregator.edge_triplet_loss(
                 reprs, 1.0, np.random.default_rng(seed)
             )

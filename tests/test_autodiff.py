@@ -92,6 +92,16 @@ class TestPrimitiveGradients:
                             [a, b])
         assert err < 1e-6
 
+    def test_euclidean_distance_sums_a_broadcast_operand_back(self, seed):
+        rng = np.random.default_rng(seed)
+        a = Tensor(rng.normal(size=3), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        ad.euclidean_distance(a, b).backward()
+        assert a.grad.shape == (3,) and b.grad.shape == (2, 3)
+        err = ad.grad_check(lambda ts: ad.euclidean_distance(ts[0], ts[1]),
+                            [a, b])
+        assert err < 1e-6
+
     def test_mean_over_an_axis_tuple(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -186,6 +196,20 @@ def chain_concat_linear(xs, w, b):
     return ad.add(ad.matmul(ad.concat(xs, axis=-1), w), b)
 
 
+def chain_edge_triplet_mean(x, ends, w, b, triples, margin):
+    """edge_triplet_mean as a chain of primitives: one getitem per row of
+    x read, one concat_linear chain per edge, and the triplet mean chain
+    over the edge vectors."""
+    rows = {}
+    for i in np.ravel(ends).tolist():
+        rows.setdefault(i, ad.getitem(x, i))
+    vecs = [chain_concat_linear([rows[p], rows[c]], w, b)
+            for p, c in np.asarray(ends).tolist()]
+    return chain_triplet_mean(
+        [tuple(vecs[i] for i in t) for t in np.asarray(triples).tolist()],
+        margin, len(vecs))
+
+
 def value_and_grad_bytes(build, arrays, upstream):
     """Bytes of build(*leaves) and of every leaf's gradient, with the
     output's gradient set to `upstream` (a number, or an array of the
@@ -261,6 +285,35 @@ class TestFusedExactness:
             lambda *vs: chain_triplet_mean(triples(vs), margin, count),
             arrays, upstream)
         assert fused == chain
+
+    @pytest.mark.parametrize("upstream", [1.0, -0.37, 0.0, -0.0])
+    def test_edge_triplet_mean(self, upstream):
+        """Edges that share rows of x (as parent and as child), triples
+        that share edges in every role, an edge in no triple, and hinges
+        on both sides of zero."""
+        rng = np.random.default_rng(34)
+        arrays = [rng.normal(size=(6, 3)), rng.normal(size=(6, 4)),
+                  rng.normal(size=4)]
+        ends = [[0, 1], [0, 2], [2, 3], [1, 4], [4, 5], [2, 5], [3, 1]]
+        triples = [[0, 1, 2], [1, 0, 3], [3, 6, 0], [2, 1, 6], [6, 3, 1],
+                   [0, 6, 6], [1, 0, 2]]
+        margin = 0.6
+
+        def run(build):
+            return value_and_grad_bytes(
+                lambda x, w, b: build(x, ends, w, b, triples, margin),
+                arrays, upstream)
+
+        fused = run(ad.edge_triplet_mean)
+        assert fused == run(chain_edge_triplet_mean)
+        # edge 5 is in no triple; two of the seven hinges are active
+        assert float(np.frombuffer(fused[0])[0]) > 0
+
+    def test_edge_triplet_mean_parents(self):
+        x, w, b = Tensor(np.ones((2, 2))), rand_tensor(4, 3), rand_tensor(3)
+        out = ad.edge_triplet_mean(x, [[0, 1], [1, 0]], w, b,
+                                   [[0, 1, 1]], 1.0)
+        assert out._parents == (x, w, b)
 
     def test_hinge_gap_sign_matches_case(self):
         for case, (a, p, n, margin) in self.HINGES.items():
