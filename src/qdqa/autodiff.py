@@ -21,13 +21,17 @@ reordered.  The fused node repeats the chain's numpy operations in the
 same order, and lists its parents in the order the chain's nodes reach
 them (a parent the chain reaches twice is listed twice); the walk then
 adds every gradient in the chain's order, and values and gradients match
-bit for bit.  The fused nodes here are `linear`, `concat_linear`,
+bit for bit.  The fused nodes here are `linear`,
 `softmax_cross_entropy`, `softmax_cross_entropy_batch`,
 `triplet_hinge_mean` and `edge_triplet_mean` (a batch's edge
 projections and their triplet hinge mean); `aggregator.gat_layer` is one
 more.  `edge_triplet_mean` sums its edges' shares of its parents'
 gradients itself, in the order the chain's walk adds them, so it lists
 each parent once.
+
+A 2-D weight's gradient in x @ w with N-D x adds one product per leading
+index of x in index order, as numpy sums leading axes row by row, and
+`_weight_grad` adds them by chunks onto a running sum: the same bits.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+GRAD_CHUNK_BYTES = 1 << 19  # bytes of products `_weight_grad` holds at once
 
 
 class ShapeError(ValueError):
@@ -274,9 +280,26 @@ def _matmul_grads(g, ad: np.ndarray, bd: np.ndarray, need_a: bool,
     else:
         if need_a:
             ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
-        if need_b:
+        if need_b and ad.ndim > 2 and bd.ndim == 2 and ad.size:
+            gb = _weight_grad(ad.swapaxes(-1, -2), g)
+        elif need_b:
             gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
     return ga, gb
+
+
+def _weight_grad(at: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """_unbroadcast(at @ g, (k, n)) bit for bit, by chunks of axis 0."""
+    (k, m), n = at.shape[-2:], g.shape[-1]
+    inner = at.size // (len(at) * k * m)  # products per index of axis 0
+    step = min(len(at), max(1, GRAD_CHUNK_BYTES // (8 * inner * k * n or 1)))
+    buf = np.empty((1 + step * inner, k, n))
+    buf[0] = -0.0  # the running sum; -0.0 + y is y
+    out = buf[1:].reshape((step,) + at.shape[1:-1] + (n,))
+    for i in range(0, len(at), step):
+        a = at[i:i + step]  # a slice: a stride-0 view is never copied
+        np.matmul(a, g[i:i + step], out=out[:len(a)])
+        buf[0] = acc = buf[:1 + inner * len(a)].sum(axis=0)
+    return acc
 
 
 def matmul(a, b) -> Tensor:
@@ -319,29 +342,6 @@ def linear(x, w, b) -> Tensor:
         return gx, gw, _unbroadcast(g, b.shape) if _needs_grad(b) else None
 
     return _make(_linear_data(x.data, w.data, b.data), (x, w, b), backward)
-
-
-def concat_linear(xs, w, b) -> Tensor:
-    """linear(concat(xs, axis=-1), w, b) as one tape node with parents
-    (*xs, w, b), bit for bit equal to that chain in value and gradients."""
-    xs = [_as_tensor(x) for x in xs]
-    w, b = _as_tensor(w), _as_tensor(b)
-    xd = np.concatenate([x.data for x in xs], axis=-1)
-    lead = (slice(None),) * (xd.ndim - 1)
-    cuts, end = [], 0
-    for x in xs:
-        start, end = end, end + x.data.shape[-1]
-        cuts.append(lead + (slice(start, end),))
-
-    def backward(g):
-        gx, gw = _matmul_grads(g, xd, w.data, any(map(_needs_grad, xs)),
-                               _needs_grad(w))
-        gb = _unbroadcast(g, b.shape) if _needs_grad(b) else None
-        parts = ((None,) * len(xs) if gx is None
-                 else tuple(gx[cut] for cut in cuts))
-        return parts + (gw, gb)
-
-    return _make(_linear_data(xd, w.data, b.data), (*xs, w, b), backward)
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -573,7 +573,7 @@ def edge_triplet_mean(x, ends, w, b, triples, margin: float) -> Tensor:
     """`triplet_hinge_mean` over edge vectors, as one tape node with
     parents (x, w, b).
 
-    Edge k's vector is concat_linear([x[p], x[c]], w, b) for (p, c) =
+    Edge k's vector is linear(concat([x[p], x[c]]), w, b) for (p, c) =
     ends[k] ([E, 2] rows of the [N, d] x); triples is [T, 3] (anchor,
     positive, negative) edge indices, and the mean divides by E.
 
@@ -589,8 +589,8 @@ def edge_triplet_mean(x, ends, w, b, triples, margin: float) -> Tensor:
     ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     xd = x.data[ends].reshape(len(ends), -1)  # [E, 2d]: x[p] || x[c]
-    # one [1, 2d] @ [2d, h] product per edge: the bits of concat_linear's
-    # 1-d product, which one [E, 2d] gemm does not give
+    # one [1, 2d] @ [2d, h] product per edge: the bits of the chain's 1-d
+    # product, which one [E, 2d] gemm does not give
     vecs = (xd[:, None, :] @ w.data)[:, 0]
     vecs += b.data
     value, grads = _triplet_hinge(vecs[triples[:, 0]], vecs[triples[:, 1]],
@@ -610,7 +610,7 @@ def edge_triplet_mean(x, ends, w, b, triples, margin: float) -> Tensor:
         g_vecs = g_vecs[order]
         g_x = g_w = g_b = None
         if _needs_grad(x):
-            # per edge (g[None, :] * w).sum(-1): concat_linear's gradient
+            # per edge (g[None, :] * w).sum(-1): the 1-d product's gradient
             g_rows = (g_vecs[:, None, :] * w.data).sum(axis=-1)
             g_x = np.zeros(x.shape)
             np.add.at(g_x, ends[order].ravel(),

@@ -129,7 +129,7 @@ def compute_metrics(counts: ConsistencyCounts, beta: float = 1.0) -> MetricsRepo
     percentages); rounding to 2 decimals happens only at emission.
     A zero denominator yields 0 and sets the metric's degenerate flag.
     """
-    if not 0 < beta < float("inf"):  # also false for NaN
+    if not 0 < beta < float("inf") or beta * beta == float("inf"):  # NaN too
         raise ValueError(f"beta must be finite and positive, got {beta}")
     flags: list[str] = []
     ca = _ratio(counts.n_pp, counts.n_pp + counts.n_pm, "ca", flags)

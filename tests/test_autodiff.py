@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,13 +194,14 @@ def chain_ce_batch(logits, targets):
 
 
 def chain_concat_linear(xs, w, b):
-    """concat_linear as a chain of primitives."""
+    """linear(concat(xs), w, b) as a chain of primitives: an edge
+    vector of `edge_triplet_mean`."""
     return ad.add(ad.matmul(ad.concat(xs, axis=-1), w), b)
 
 
 def chain_edge_triplet_mean(x, ends, w, b, triples, margin):
     """edge_triplet_mean as a chain of primitives: one getitem per row of
-    x read, one concat_linear chain per edge, and the triplet mean chain
+    x read, one chain_concat_linear per edge, and the triplet mean chain
     over the edge vectors."""
     rows = {}
     for i in np.ravel(ends).tolist():
@@ -355,24 +358,6 @@ class TestFusedExactness:
         with pytest.raises(IndexError):
             ad.softmax_cross_entropy_batch(logits, [-1, 0])
 
-    @pytest.mark.parametrize("shapes", [((3,), (4,)), ((2, 3), (2, 1)),
-                                        ((2, 2, 3), (2, 2, 4), (2, 2, 1))],
-                             ids=["1d", "2d", "3d"])
-    @pytest.mark.parametrize("upstream", [1.0, -0.37])
-    def test_concat_linear(self, shapes, upstream):
-        rng = np.random.default_rng(33)
-        width = sum(s[-1] for s in shapes)
-        arrays = [rng.normal(size=s) for s in shapes]
-        arrays += [rng.normal(size=(width, 5)), rng.normal(size=5)]
-        upstream = upstream * rng.normal(size=shapes[0][:-1] + (5,))
-        fused = value_and_grad_bytes(
-            lambda *ts: ad.concat_linear(ts[:-2], *ts[-2:]), arrays,
-            upstream)
-        chain = value_and_grad_bytes(
-            lambda *ts: chain_concat_linear(ts[:-2], *ts[-2:]), arrays,
-            upstream)
-        assert fused == chain
-
     def test_constant_inputs_record_no_tape(self):
         out = ad.triplet_hinge_mean(
             [(Tensor([1.0]), Tensor([2.0]), Tensor([4.0]))], 1.0, 1)
@@ -381,9 +366,6 @@ class TestFusedExactness:
             == ()
         assert ad.softmax_cross_entropy_batch(Tensor(np.zeros((1, 3))),
                                               [1])._parents == ()
-        assert ad.concat_linear([Tensor([1.0]), Tensor([2.0])],
-                                Tensor(np.ones((2, 3))),
-                                Tensor(np.zeros(3)))._parents == ()
 
 
 def reference_backward(loss):
@@ -617,6 +599,89 @@ class TestLinear:
         (expect, _) = composite_broadcast(a, out.shape)._backward(g)
         assert got.shape == a.shape
         assert got.tobytes() == expect.tobytes()
+
+
+class TestChunkedWeightGradient:
+    """`_matmul_grads`'s weight gradient of N-D x @ 2-D w, made a chunk of
+    leading indices at a time, against the sum of the whole [..., k, n]
+    product array that it replaces."""
+
+    K, N = 8, 4  # one product is 256 bytes
+
+    @staticmethod
+    def arrays(x_shape, n, seed, stride0=False):
+        rng = np.random.default_rng(seed)
+        # entries over six decades, so a change in the order of the
+        # additions changes the bits
+        scale = 10.0 ** rng.uniform(-3, 3, size=x_shape)
+        x = rng.normal(size=x_shape) * scale
+        if stride0:  # the question tokens' view: axes 1 and 2 repeat
+            x = np.broadcast_to(x[:, :1, :1], x_shape)
+        g = rng.normal(size=x_shape[:-1] + (n,))
+        w = rng.normal(size=(x_shape[-1], n))
+        return x, w, g
+
+    def check(self, x, w, g, need_a=True):
+        ga, gw = ad._matmul_grads(g, x, w, need_a, True)
+        want = ad._unbroadcast(x.swapaxes(-1, -2) @ g, w.shape)
+        assert gw.shape == w.shape
+        assert gw.tobytes() == want.tobytes()
+        if need_a:
+            assert ga.tobytes() == (g @ w.T).tobytes()
+        else:
+            assert ga is None
+
+    # chunks of 5 indices of axis 0, 3 products each: 4 fit in one chunk,
+    # 5 fill it, 6 is one past, 13 is two chunks and a ragged 3
+    @pytest.mark.parametrize("lead", [4, 5, 6, 13])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chunk_edges_match_the_whole_sum(self, monkeypatch, lead, seed):
+        monkeypatch.setattr(ad, "GRAD_CHUNK_BYTES", 5 * 3 * 8 * self.K
+                            * self.N)
+        self.check(*self.arrays((lead, 3, 2, self.K), self.N, seed))
+
+    @pytest.mark.parametrize("need_a", [True, False])
+    def test_stride0_input(self, monkeypatch, need_a):
+        monkeypatch.setattr(ad, "GRAD_CHUNK_BYTES", 2 * 12 * 8 * self.K
+                            * self.N)
+        x, w, g = self.arrays((7, 3, 4, 2, self.K), self.N, 3, stride0=True)
+        assert x.strides[1:3] == (0, 0)
+        self.check(x, w, g, need_a)
+
+    @pytest.mark.parametrize("x_shape", [(9, 4, 3, 8), (5, 2, 3, 2, 2, 8)],
+                             ids=["4d", "6d"])
+    @pytest.mark.parametrize("need_a", [True, False])
+    def test_4d_and_6d(self, monkeypatch, x_shape, need_a):
+        monkeypatch.setattr(ad, "GRAD_CHUNK_BYTES", 16 * 8 * self.K * self.N)
+        self.check(*self.arrays(x_shape, self.N, 4), need_a)
+
+    @staticmethod
+    def peak_bytes(x, w, g):
+        """The weight gradient and the tracemalloc peak of making it."""
+        tracemalloc.start()
+        try:
+            _, gw = ad._matmul_grads(g, x, w, False, True)
+            return gw, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_object_stage_ffn_stays_below_the_product_array(self):
+        """The object-stage ff2 gradient at the default budget: [648, 64,
+        16] products, 5.3 MB as one array."""
+        x, w, g = self.arrays((54, 6, 2, 2, 64), 16, 5)
+        want = ad._unbroadcast(x.swapaxes(-1, -2) @ g, w.shape)
+        gw, peak = self.peak_bytes(x, w, g)
+        assert gw.tobytes() == want.tobytes()
+        assert peak < 648 * 64 * 16 * 8 / 2
+
+    def test_stride0_input_is_not_copied(self):
+        """An [8, 64, 64, 2, 16] view of [8, 1, 1, 2, 16] rows: a copy of
+        it would be 8.4 MB, and its products 16.8 MB."""
+        x, w, g = self.arrays((8, 64, 64, 2, 16), 4, 6, stride0=True)
+        want = ad._unbroadcast(x.swapaxes(-1, -2) @ g, w.shape)
+        gw, peak = self.peak_bytes(x, w, g)
+        assert gw.tobytes() == want.tobytes()
+        assert peak < x.size * 8 / 2
 
 
 class TestGumbelSoftmax:

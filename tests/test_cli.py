@@ -142,7 +142,8 @@ def test_eval_non_string_answer_exits_1(tmp_path):
     assert "line 1" in payload["message"]
 
 
-@pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0", "1e155",
+                                  "1e200"])
 def test_eval_beta_not_finite_and_positive_exits_1(tmp_path, beta):
     gpath, gold, pred = write_row1_fixture(tmp_path)
     out = tmp_path / "r.json"

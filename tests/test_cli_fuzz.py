@@ -184,6 +184,7 @@ def test_eval_beta_keeps_the_error_contract(tmp_path_factory):
         assert out.exists() == (result.exit_code == 0)
         if result.exit_code == 0:
             assert 0 < float(beta) < float("inf")
+            strict_json(out.read_text())
 
     run()
 
