@@ -154,12 +154,9 @@ class PackedSplit:
     # the i-th node of the graphs taken in order
     clusters: list
     # per cluster: its `aggregator.edge_rows` [E, 2] and its neighbour
-    # mask [n, n], a view into `groups`
+    # mask [n, n], both in the order of its rows
     edges: list
     masks: list
-    # per cluster size n: (the rows [B, n] of its B clusters in pack
-    # order, their masks [B, n, n])
-    groups: list
 
     @property
     def n_nodes(self) -> int:
@@ -174,25 +171,15 @@ def pack_split(split, vocab_index: dict) -> PackedSplit:
         clusters.append((g, range(start, start + len(g.nodes))))
         start += len(g.nodes)
     edges = [aggregator.edge_rows(g) for g in split.graphs]
-    by_size: dict[int, list] = {}
-    for c, (g, rows) in enumerate(clusters):
-        by_size.setdefault(len(rows), []).append(c)
-    masks, groups = [None] * len(clusters), []
-    for ids in by_size.values():
-        stacked = np.stack([aggregator.neighbor_mask(split.graphs[c],
-                                                     edges[c])
-                            for c in ids])
-        groups.append((np.array([clusters[c][1] for c in ids]), stacked))
-        for c, mask in zip(ids, stacked):
-            masks[c] = mask
     return PackedSplit(
         graphs=split.graphs, f_o=split.f_o, f_a=split.f_a, f_m=split.f_m,
         f_q=split.q,
         gold=np.array([vocab_index[node.gold_answer]
                        for g in split.graphs for node in g.nodes],
                       dtype=np.int64),
-        planted=split.planted, clusters=clusters, edges=edges, masks=masks,
-        groups=groups,
+        planted=split.planted, clusters=clusters, edges=edges,
+        masks=[aggregator.neighbor_mask(g, e)
+               for g, e in zip(split.graphs, edges)],
     )
 
 
@@ -248,23 +235,14 @@ def _forward(pack: PackedSplit, rows, cluster_ids, store: ParamStore,
 
     `noise` ([len(rows), n_c, 2]) is the aligner's Gumbel noise; only the
     aligner reads it.  Returns (head logits [len(rows), vocab], the
-    aggregator logits or None, the aligner's (f_q, clips, ind, w_rel) or
-    None).
+    aggregator logits [len(rows), vocab] or None, the aligner's (f_q,
+    clips, ind, w_rel) or None), all Tensors in the order of `rows`.
+    Training and a `store.frozen()` evaluation run the same ops; the
+    frozen view records no tape.
 
     The aligner's clip blocks run on this thread and a pool of the other
     workers (numpy drops the GIL in their loops) and are joined in block
     order, so the bits do not depend on WORKERS.
-
-    The aggregator runs once per cluster, and its logits are one [n,
-    vocab] Tensor per cluster, in batch order, when a parameter of
-    `store` requires grad.  Otherwise (a `store.frozen()` view, which
-    must be given every cluster of the pack in order) it runs once per
-    cluster size on the pack's stacked clusters of that size, and its
-    logits are one [len(rows), vocab] array in row order; both give the
-    same bits.  Training reads `joint` at rows that `_cluster_logits`
-    numbers by distinct node id.  So a batch that holds a cluster twice
-    reads wrong rows: every node of both copies reads one row, and every
-    later cluster reads rows shifted back by the repeated cluster's size.
     """
     f_q = Tensor(pack.f_q[rows])
     if config.use_aligner:
@@ -315,52 +293,40 @@ def _forward(pack: PackedSplit, rows, cluster_ids, store: ParamStore,
 
     agg = None
     if config.use_aggregator:
-        if any(t.requires_grad for t in store.params.values()):
-            agg = _cluster_logits(joint, pack, cluster_ids, store,
-                                  config.layers)
-        else:
-            agg = _grouped_logits(joint, pack, store, config.layers)
+        agg = _aggregator_logits(joint, pack, cluster_ids, store,
+                                 config.layers)
     return head, agg, aligned
 
 
-def _cluster_logits(joint: Tensor, pack: PackedSplit, cluster_ids,
-                    store: ParamStore, layers: int) -> list:
-    """One aggregator pass per cluster of the batch; returns the clusters'
-    head logits [n, vocab] in batch order.
+def _aggregator_logits(joint: Tensor, pack: PackedSplit, cluster_ids,
+                       store: ParamStore, layers: int) -> Tensor:
+    """The aggregator's logits [len(joint), vocab] on `joint`, whose rows
+    are the nodes of clusters `cluster_ids` in order.
 
-    A cluster reads `joint` at the rows its nodes get from one running
-    number per distinct node id, with one slice `getitem` where they are
-    consecutive.  A cluster the batch holds twice gets one row for all
-    its nodes; it reads it with one `getitem` per node, so the walk adds
-    their gradients into that row one by one, in node order."""
-    local = {}
+    The clusters are grouped by node count, in order of first appearance;
+    a group of B clusters of n nodes reads its [B, n] rows of `joint` by
+    position and runs one stacked pass, and one fancy `getitem` puts the
+    groups' rows back in `joint`'s order.  A cluster listed twice reads
+    its own rows each time.  The GAT and the head work matrix by matrix,
+    so a cluster's logits do not depend on the others in its group."""
+    groups: dict[int, list] = {}
+    start = 0
     for c in cluster_ids:
-        for node in pack.graphs[c].nodes:
-            local[node.id] = len(local)
-    heads = []
-    for c in cluster_ids:
-        at = [local[node.id] for node in pack.graphs[c].nodes]
-        if at == list(range(at[0], at[0] + len(at))):
-            feats = ad.getitem(joint, slice(at[0], at[0] + len(at)))
-        else:
-            feats = ad.stack([ad.getitem(joint, i) for i in at])
-        outputs, _ = aggregator.gat_forward(feats, pack.masks[c], store,
-                                            layers)
-        heads.append(aggregator.predict_answers(outputs, store))
-    return heads
-
-
-def _grouped_logits(joint: Tensor, pack: PackedSplit, store: ParamStore,
-                    layers: int) -> np.ndarray:
-    """One aggregator pass per cluster size over the pack's stacked
-    clusters of that size; returns the logits [len(joint), vocab] in
-    joint's rows, which are the pack's."""
-    logits = np.empty((len(joint.data), store["ag.head.b"].shape[0]))
-    for idx, masks in pack.groups:
+        n = len(pack.clusters[c][1])
+        groups.setdefault(n, []).append((start, c))
+        start += n
+    logits, order = [], []
+    for n, members in groups.items():
+        at = np.array([s for s, _ in members])[:, None] + np.arange(n)
         outputs, _ = aggregator.gat_forward(
-            ad.getitem(joint, idx), masks, store, layers)
-        logits[idx] = aggregator.predict_answers(outputs, store).data
-    return logits
+            ad.getitem(joint, at), np.stack([pack.masks[c]
+                                             for _, c in members]),
+            store, layers)
+        head = aggregator.predict_answers(outputs, store)
+        logits.append(ad.reshape(head, (len(at) * n, -1)))
+        order.append(at.ravel())
+    grouped = ad.concat(logits, axis=0)
+    return ad.getitem(grouped, np.argsort(np.concatenate(order)))
 
 
 def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
@@ -377,17 +343,16 @@ def forward_losses(pack: PackedSplit, cluster_ids, store: ParamStore,
                            (pack.clusters[c] for c in cluster_ids)])
     if config.use_aligner and noise is None:
         noise = ad.gumbel_noise(rng, (len(rows), pack.planted.shape[1], 2))
-    head, heads, aligned = _forward(pack, rows, cluster_ids, store, config,
-                                    noise)
+    head, logits, aligned = _forward(pack, rows, cluster_ids, store, config,
+                                     noise)
     terms = {}
     if aligned is not None and config.use_contrastive:
         terms["contrastive"] = aligner.anchor_contrastive(*aligned, store)
     terms["answer_ce"] = ad.softmax_cross_entropy_batch(head, pack.gold[rows])
-    if heads is not None:
-        # the batch's nodes in batch-cluster order, id-sorted: `rows` order
-        logits = ad.concat(heads, axis=0)
+    if logits is not None:
         if config.use_triplet:
-            starts = np.cumsum([0] + [len(h.data) for h in heads])
+            starts = np.cumsum([0] + [len(pack.clusters[c][1])
+                                      for c in cluster_ids])
             reprs = aggregator.edge_representations(
                 logits, [(pack.graphs[c], pack.edges[c] + start)
                          for c, start in zip(cluster_ids, starts)], store)
@@ -413,15 +378,14 @@ def predict_split(store: ParamStore, config: RunConfig, pack: PackedSplit):
 
     Returns (predictions: node id -> answer token, in row order, which is
     the order of the graphs' nodes; relevance stats dict).  Runs on a
-    frozen view of the store, so no autodiff tape is recorded and the
-    aggregator runs once per cluster size.
+    frozen view of the store, so no autodiff tape is recorded.
     """
     _check_dims(store, config)
     head, agg, aligned = _forward(
         pack, np.arange(pack.n_nodes), range(len(pack.clusters)),
         store.frozen(), config,
         noise=np.zeros(pack.planted.shape + (2,)))
-    answers = np.argmax(head.data if agg is None else agg, axis=-1)
+    answers = np.argmax((head if agg is None else agg).data, axis=-1)
     vocab = config.synthetic.vocab
     ids = (node.id for g in pack.graphs for node in g.nodes)
     predictions = {nid: vocab[i] for nid, i in zip(ids, answers.tolist())}

@@ -1,10 +1,14 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,17 +294,18 @@ def test_predict_split_matches_recording_forward(row):
                                    cfg, noise=zeros)
         return head, agg
 
-    head, heads = run(store)
-    assert head._parents  # the per-cluster path does record a tape
-    frozen_head, grouped = run(store.frozen())
+    head, agg = run(store)
+    assert head._parents  # the recording forward does record a tape
+    frozen_head, frozen_agg = run(store.frozen())
     assert not frozen_head._parents
     assert frozen_head.data.tobytes() == head.data.tobytes()
-    if heads is None:
-        assert grouped is None
+    if agg is None:
+        assert frozen_agg is None
         logits = head.data
     else:
-        logits = np.concatenate([t.data for t in heads])
-        assert grouped.tobytes() == logits.tobytes()
+        assert agg._parents and not frozen_agg._parents
+        logits = agg.data
+        assert frozen_agg.data.tobytes() == logits.tobytes()
     predictions, _ = predict_split(store, cfg, pack)
     vocab = cfg.synthetic.vocab
     assert predictions == {nid: vocab[int(np.argmax(v))]
@@ -333,7 +338,7 @@ def test_grouped_logits_match_per_cluster_loop(monkeypatch):
     sizes = sizes_of(pack)
     assert 1 in sizes.values() and max(sizes.values()) > 1
     seen = {}
-    joint_fn, grouped_fn = tr.aligner.backbone_joint, tr._grouped_logits
+    joint_fn, grouped_fn = tr.aligner.backbone_joint, tr._aggregator_logits
 
     def recording_joint(*args, **kwargs):
         seen["joint"] = joint_fn(*args, **kwargs)
@@ -344,12 +349,12 @@ def test_grouped_logits_match_per_cluster_loop(monkeypatch):
         return seen["grouped"]
 
     monkeypatch.setattr(tr.aligner, "backbone_joint", recording_joint)
-    monkeypatch.setattr(tr, "_grouped_logits", recording_grouped)
+    monkeypatch.setattr(tr, "_aggregator_logits", recording_grouped)
     predictions, _ = predict_split(store, cfg, pack)
     want = per_cluster_logits(seen["joint"], pack.clusters, store.frozen(),
                               cfg.layers)
     want = np.stack([want[nid] for nid in node_ids(pack)])
-    assert seen["grouped"].tobytes() == want.tobytes()
+    assert seen["grouped"].data.tobytes() == want.tobytes()
     vocab = cfg.synthetic.vocab
     assert predictions == {nid: vocab[int(np.argmax(v))]
                            for nid, v in zip(node_ids(pack), want)}
@@ -462,12 +467,15 @@ def tape(loss) -> list:
 @pytest.mark.parametrize("row, budget", [("aggregator_triplet", 75),
                                          ("full", 272)])
 def test_default_training_step_stays_within_its_tape_budget(row, budget):
-    """The first batch of a default run (49 question nodes, 41 edges): one
-    tape node per GAT layer and CE mean, one `joint` read per cluster and
-    one node for the batch's edge projections and triplet mean keep the
-    tape under budget.  Op chains in their place made it 610 and 807
-    nodes; a `getitem` per node and a `concat_linear` per edge, 214 and
-    411."""
+    """The first batch of a default run (49 question nodes, 41 edges, six
+    cluster sizes): one tape node per GAT layer and CE mean, one
+    aggregator pass per cluster size and one node for the batch's edge
+    projections and triplet mean keep the tape under budget, at 72 and
+    269 nodes.  Op chains in their place made it 610 and 807 nodes; a
+    `getitem` per node and a `concat_linear` per edge, 214 and 411; one
+    aggregator pass per cluster, the budgets.  On clusters 0-7 of the
+    same split the size-grouped pass records 66 and 264 nodes, where one
+    pass per cluster recorded 75 and 273."""
     cfg = RunConfig(**dict(tr.ABLATION_ROWS)[row])
     train_pack, _, _ = packs_for(cfg)
     rng = np.random.default_rng([cfg.seed, 77])
@@ -475,6 +483,9 @@ def test_default_training_step_stays_within_its_tape_budget(row, budget):
     _, total = forward_losses(train_pack, batch.tolist(), init_params(cfg),
                               cfg, rng)
     assert len(tape(total)) <= budget
+    _, total = forward_losses(train_pack, list(range(8)), init_params(cfg),
+                              cfg, rng)
+    assert len(tape(total)) <= {"aggregator_triplet": 66, "full": 264}[row]
 
 
 @pytest.mark.parametrize("row", ["full", "aggregator_triplet"])
@@ -612,25 +623,53 @@ def test_forward_losses_draws_its_noise_in_one_gumbel_noise_call(row):
     assert twin.bit_generator.state == rng.bit_generator.state
 
 
-@pytest.mark.parametrize("row, digest", [
-    ("full",
-     "9d0a224c607fb114adb50d0d5557aedf405f38514a9c3856917bf8b303071cb9"),
-    ("aggregator_triplet",
-     "28ea479ee4b63f657a1346b06591cf52caad16169101f6d678e89587a49876d8"),
-])
-def test_short_runs_are_byte_pinned(tmp_path, row, digest):
+SHORT_RUN_DIGESTS = {
+    "full":
+    "0d31b9e6171fcae70ff73b8c6ecd0cbe160f7f72aecc92b0cee4a81a857d5b1c",
+    "aggregator_triplet":
+    "7bd9248b4783e2856cda9ce3e275e541143abb35c059ef5a57aba59d5989c871",
+}
+
+
+def short_run_digest(row: str, out_dir) -> str:
     """sha256 over report.json, epochs.csv and checkpoint/params.bin of a
-    150-step default-data run: a changed dataset byte, float operation
-    order or training draw moves it.  One batch of the full run holds a
-    cluster twice, so the row numbering of `_cluster_logits` is pinned
-    too.  The digests are the same at 1 and 2 BLAS threads."""
+    150-step default-data run of ablation row `row`, written to
+    `out_dir`."""
     cfg = RunConfig(steps=150, eval_every=50, seed=0,
                     **dict(tr.ABLATION_ROWS)[row])
-    train(cfg, tmp_path)
+    train(cfg, out_dir)
     h = hashlib.sha256()
     for name in ("report.json", "epochs.csv", "checkpoint/params.bin"):
-        h.update((tmp_path / name).read_bytes())
-    assert h.hexdigest() == digest
+        h.update((Path(out_dir) / name).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("row, digest", list(SHORT_RUN_DIGESTS.items()))
+def test_short_runs_are_byte_pinned(tmp_path, row, digest):
+    """A changed dataset byte, float operation order or training draw
+    moves the digest.  One batch of the full run holds a cluster twice,
+    so the aggregator's positional reads of a repeated cluster are
+    pinned too."""
+    assert short_run_digest(row, tmp_path) == digest
+
+
+def test_short_run_digest_does_not_depend_on_blas_threads(tmp_path):
+    """The pinned full-row run gives one digest at 1 and at 2 OpenBLAS
+    threads, as the README promises; each runs in its own process, since
+    OpenBLAS reads the variable when it loads."""
+    here = Path(__file__).resolve().parent
+    code = ("import sys; from test_train import short_run_digest; "
+            "print(short_run_digest('full', sys.argv[1]))")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [str(here), str(here.parent / "src")])}
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / threads)], env=env,
+            capture_output=True, text=True, timeout=300, check=True)
+        digests.append(done.stdout.strip())
+    assert digests == [SHORT_RUN_DIGESTS["full"]] * 2
 
 
 def test_relevance_tally_matches_set_loop(monkeypatch):
@@ -662,10 +701,6 @@ def test_relevance_tally_matches_set_loop(monkeypatch):
     assert relevance == {"recall": hit / planted, "precision": hit / chosen}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "train._cluster_logits keys its row map by node id, so every node of a "
-    "cluster repeated in one batch, in both copies, is fed the joint "
-    "feature of that cluster's first node"))
 def test_repeated_cluster_in_batch_keeps_its_rows():
     cfg = RunConfig(synthetic=SyntheticConfig(clusters=8, seed=0), seed=0,
                     **dict(tr.ABLATION_ROWS)["aggregator"])
@@ -683,10 +718,6 @@ def test_repeated_cluster_in_batch_keeps_its_rows():
                                                  abs=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "train._cluster_logits numbers its rows by distinct node id, so a "
-    "repeated cluster adds no rows there and every later cluster of the "
-    "batch reads joint rows shifted back by the repeated cluster's size"))
 def test_repeated_cluster_in_batch_keeps_later_clusters_rows():
     cfg = RunConfig(synthetic=SyntheticConfig(clusters=8, seed=0), seed=0,
                     **dict(tr.ABLATION_ROWS)["aggregator"])
@@ -696,11 +727,9 @@ def test_repeated_cluster_in_batch_keeps_later_clusters_rows():
     def last_cluster_logits(batch):
         clusters = [train_pack.clusters[i] for i in batch]
         rows = np.concatenate([list(r) for _, r in clusters])
-        _, heads, _ = tr._forward(train_pack, rows, batch, store, cfg)
-        return heads[-1].data
+        _, logits, _ = tr._forward(train_pack, rows, batch, store, cfg)
+        return logits.data[-len(clusters[-1][1]):]
 
-    # cluster 1's first logit reads -0.009515 after [0], -0.013751 after
-    # [0, 0]
     alone = last_cluster_logits([0, 1])
     assert last_cluster_logits([0, 0, 1]).tobytes() == alone.tobytes()
 
