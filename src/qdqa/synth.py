@@ -389,10 +389,15 @@ class Dataset:
 MIN_CLUSTERS = 7
 
 
-def generate_dataset(config: SyntheticConfig) -> Dataset:
-    """70/15/15 split over disjoint index ranges, one stacked run each."""
-    bank = SignalBank(config)
-    n = config.clusters
+def split_ranges(n: int) -> tuple[range, range, range]:
+    """The train, validation and test cluster indices of `n` clusters:
+    a 70/15/15 split over disjoint index ranges."""
     cuts = (0, int(n * 0.7), int(n * 0.7) + int(n * 0.15), n)
-    return Dataset(*(generate_clusters(config, range(lo, hi), bank)
-                     for lo, hi in zip(cuts, cuts[1:])))
+    return tuple(range(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+
+
+def generate_dataset(config: SyntheticConfig) -> Dataset:
+    """`split_ranges` of the config's clusters, one stacked run each."""
+    bank = SignalBank(config)
+    return Dataset(*(generate_clusters(config, indices, bank)
+                     for indices in split_ranges(config.clusters)))

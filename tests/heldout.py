@@ -16,10 +16,10 @@ Per row it adds the mean over seeds with a 95% bootstrap interval.  It is
 no gate: pytest does not collect it, and `test_heldout.py` only checks
 that it runs.
 
-    PYTHONPATH=src python tests/heldout.py [--seeds 3-12] [--out FILE]
+    PYTHONPATH=src python tests/heldout.py [--out FILE]
 
-prints the table as one JSON object, and writes it to FILE too.  The
-default ten seeds take about 13 minutes on one CPU.
+prints the table for run seeds 3-12 as one JSON object, and writes it to
+FILE too.  It takes about 13 minutes on one CPU.
 """
 
 from __future__ import annotations
@@ -31,12 +31,14 @@ import sys
 import numpy as np
 
 from qdqa import metrics
-from qdqa.synth import SyntheticConfig, apply_program, generate_clusters
+from qdqa.synth import (SyntheticConfig, apply_program, generate_clusters,
+                        split_ranges)
 from qdqa.train import (RunConfig, ablation_configs, pack_split,
                         predict_split, train)
 
 ROWS = ("backbone", "aligner", "aggregator", "full")
 COLUMNS = ("main", "c_f", "ic", "recall", "precision")
+SEEDS = range(3, 13)
 FRESH = range(120, 1120)
 BOOTSTRAP = 2000
 
@@ -51,15 +53,6 @@ def _internal_consistency(programs, predictions) -> float:
             hits += predictions[parent] == apply_program(
                 op, [predictions[c] for c in children])
     return 100.0 * hits / total
-
-
-def _split_ranges(synthetic: SyntheticConfig) -> dict:
-    """The cluster indices of the validation and test splits, cut as
-    `synth.generate_dataset` cuts them."""
-    n = synthetic.clusters
-    val = int(n * 0.7)
-    test = val + int(n * 0.15)
-    return {"validation": range(val, test), "test": range(test, n)}
 
 
 def score(store, config: RunConfig, indices) -> dict:
@@ -82,16 +75,17 @@ def _mean_interval(values, rng) -> dict:
     return {"mean": float(values.mean()), "lo": float(lo), "hi": float(hi)}
 
 
-def heldout_table(seeds, steps=None, fresh=FRESH) -> dict:
+def heldout_table(seeds=SEEDS, steps=None) -> dict:
     """{"runs": {row: {seed: {split: columns}}}, "means": {row: {split:
     {column: {mean, lo, hi}}}}} for the default config at each seed;
-    `steps` shortens the runs, `fresh` replaces the fresh clusters."""
+    `steps` shortens the runs."""
     shorter = {} if steps is None else {"steps": steps, "eval_every": steps}
     runs = {row: {} for row in ROWS}
     for seed in seeds:
         base = RunConfig(synthetic=SyntheticConfig(seed=seed), seed=seed,
                          **shorter)
-        ranges = {**_split_ranges(base.synthetic), "fresh": fresh}
+        _, validation, test = split_ranges(base.synthetic.clusters)
+        ranges = {"validation": validation, "test": test, "fresh": FRESH}
         for name, cfg in ablation_configs(base):
             if name not in runs:
                 continue
@@ -115,18 +109,11 @@ def heldout_table(seeds, steps=None, fresh=FRESH) -> dict:
     return {"runs": runs, "means": means}
 
 
-def _seed_range(text: str) -> range:
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=_seed_range, default=range(3, 13),
-                        help="run seeds as A-B, inclusive (default 3-12)")
     parser.add_argument("--out", help="also write the table to this file")
     args = parser.parse_args(argv)
-    text = json.dumps(heldout_table(args.seeds), indent=1, sort_keys=True)
+    text = json.dumps(heldout_table(), indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")

@@ -649,27 +649,23 @@ def test_short_runs_are_byte_pinned(tmp_path, row, digest):
     """A changed dataset byte, float operation order or training draw
     moves the digest.  One batch of the full run holds a cluster twice,
     so the aggregator's positional reads of a repeated cluster are
-    pinned too."""
-    assert short_run_digest(row, tmp_path) == digest
-
-
-def test_short_run_digest_does_not_depend_on_blas_threads(tmp_path):
-    """The pinned full-row run gives one digest at 1 and at 2 OpenBLAS
-    threads, as the README promises; each runs in its own process, since
-    OpenBLAS reads the variable when it loads."""
+    pinned too.  Each run is made at 1 and at 2 OpenBLAS threads, as the
+    README promises, in a process of its own, since OpenBLAS reads the
+    variable when it loads."""
     here = Path(__file__).resolve().parent
     code = ("import sys; from test_train import short_run_digest; "
-            "print(short_run_digest('full', sys.argv[1]))")
+            "print(short_run_digest(sys.argv[1], sys.argv[2]))")
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(
                    [str(here), str(here.parent / "src")])}
         done = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / threads)], env=env,
-            capture_output=True, text=True, timeout=300, check=True)
+            [sys.executable, "-c", code, row, str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, timeout=300,
+            check=True)
         digests.append(done.stdout.strip())
-    assert digests == [SHORT_RUN_DIGESTS["full"]] * 2
+    assert digests == [digest] * 2
 
 
 def test_relevance_tally_matches_set_loop(monkeypatch):
